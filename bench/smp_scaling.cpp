@@ -1,12 +1,11 @@
 // SMP scaling of the RPC dispatch server (ROADMAP north star: "heavy
 // traffic from millions of users"). Two claims, both gated:
 //
-//  1. Serial-vs-SMP bit-identity: a 1-hart smp::Machine reproduces the
-//     legacy single-hart core::System exactly — same cycles, same
-//     instructions, same end-of-run counter snapshot, name for name.
-//     This is the same differential the tests pin (tests/test_smp.cpp),
-//     re-proven here on the very build the scaling rows use, so the
-//     multi-hart numbers below are comparable to every pre-SMP figure.
+//  1. Entry-point bit-identity: smp::RunBuildSmp at 1 hart reproduces
+//     core::RunBuild exactly — same cycles, same instructions, same
+//     end-of-run counter snapshot, name for name. Both run the one
+//     machine class; the golden-run fixture (tests/test_golden.cpp) pins
+//     that machine to the results of the pre-merge single-hart system.
 //
 //  2. Throughput scales: the strided request loop (hart h serves
 //     requests h, h+N, h+2N, ...) finishes in fewer cycles on 2 harts

@@ -1,5 +1,6 @@
 #include "asmtool/assembler.h"
 
+#include <bit>
 #include <map>
 #include <string>
 #include <vector>
@@ -90,6 +91,39 @@ class Assembler {
     item.line = mi.line;
     CurrentSection().items.push_back(std::move(item));
     return Status::Ok();
+  }
+
+  // The RV64 `li` expansion: addi for 12-bit values, lui + addiw for
+  // 32-bit ones, and otherwise the upper bits materialized recursively,
+  // shifted into place with slli and topped up with addi.
+  Status EmitLi(std::uint8_t rd, std::int64_t value, int line_no) {
+    MachineInst mi;
+    mi.line = line_no;
+    if (FitsSigned(value, 12)) {
+      mi.inst = Instruction{.op = Opcode::kAddi, .rd = rd, .imm = value};
+      return EmitInst(mi);
+    }
+    if (FitsSigned(value, 32)) {
+      // lui loads bits [31:12]; addiw adds the signed low 12, so round up
+      // the high part when the low part is negative.
+      const std::int64_t hi = (value + 0x800) >> 12;
+      mi.inst = Instruction{.op = Opcode::kLui, .rd = rd, .imm = hi & 0xFFFFF};
+      ROLOAD_RETURN_IF_ERROR(EmitInst(mi));
+      mi.inst = Instruction{
+          .op = Opcode::kAddiw, .rd = rd, .rs1 = rd, .imm = value - (hi << 12)};
+      return EmitInst(mi);
+    }
+    const std::int64_t lo = SignExtend(static_cast<std::uint64_t>(value), 12);
+    const std::uint64_t hi = (static_cast<std::uint64_t>(value) + 0x800) >> 12;
+    const unsigned shift = 12 + static_cast<unsigned>(std::countr_zero(hi));
+    ROLOAD_RETURN_IF_ERROR(
+        EmitLi(rd, SignExtend(hi >> (shift - 12), 64 - shift), line_no));
+    mi.inst = Instruction{
+        .op = Opcode::kSlli, .rd = rd, .rs1 = rd, .imm = shift};
+    ROLOAD_RETURN_IF_ERROR(EmitInst(mi));
+    if (lo == 0) return Status::Ok();
+    mi.inst = Instruction{.op = Opcode::kAddi, .rd = rd, .rs1 = rd, .imm = lo};
+    return EmitInst(mi);
   }
 
   // Operand helpers -------------------------------------------------------
@@ -351,31 +385,7 @@ Status Assembler::ParseInstruction(std::string_view head,
     if (!rd.ok()) return rd.status();
     auto value = imm(1);
     if (!value.ok()) return value.status();
-    const std::int64_t v = *value;
-    if (FitsSigned(v, 12)) {
-      mi.inst = Instruction{.op = Opcode::kAddi,
-                            .rd = static_cast<std::uint8_t>(*rd),
-                            .imm = v};
-      return EmitInst(mi);
-    }
-    if (!FitsSigned(v, 32)) {
-      return Error(line_no, "li immediate exceeds 32 bits");
-    }
-    // lui loads bits [31:12]; addi adds the signed low 12, so round up the
-    // high part when the low part is negative.
-    std::int64_t hi = (v + 0x800) >> 12;
-    std::int64_t lo = v - (hi << 12);
-    mi.inst = Instruction{.op = Opcode::kLui,
-                          .rd = static_cast<std::uint8_t>(*rd),
-                          .imm = hi & 0xFFFFF};
-    ROLOAD_RETURN_IF_ERROR(EmitInst(mi));
-    MachineInst add;
-    add.line = line_no;
-    add.inst = Instruction{.op = Opcode::kAddiw,
-                           .rd = static_cast<std::uint8_t>(*rd),
-                           .rs1 = static_cast<std::uint8_t>(*rd),
-                           .imm = lo};
-    return EmitInst(add);
+    return EmitLi(static_cast<std::uint8_t>(*rd), *value, line_no);
   }
   if (mnemonic == "la") {
     ROLOAD_RETURN_IF_ERROR(need(2));

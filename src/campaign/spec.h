@@ -49,9 +49,8 @@ struct RunSpec {
   core::SystemVariant variant = core::SystemVariant::kFullRoload;
   bool build_only = false;
   std::uint64_t max_instructions = 1ull << 34;
-  // Hart count for the run. 1 executes on the legacy single-hart System
-  // (bit-identical to every pre-SMP grid); >= 2 executes on an
-  // smp::Machine and appends "/h<N>" to the run name.
+  // Hart count of the run's machine; >= 2 appends "/h<N>" to the run
+  // name.
   unsigned harts = 1;
   // Host execute tier for the run. All three tiers retire bit-identical
   // cycles and counters, so this axis only changes host speed — it exists
@@ -77,9 +76,8 @@ struct CampaignSpec {
   // nonzero values; other tiers stay untouched.
   bool jit = false;
   std::uint64_t max_instructions = 1ull << 34;
-  // The hart-count axis (innermost). The default {1} leaves every run on
-  // the single-hart path and every run name unchanged; entries >= 2 run
-  // on an SMP machine and are named "<...>/h<N>".
+  // The hart-count axis (innermost). The default {1} leaves every run
+  // name unchanged; entries >= 2 are named "<...>/h<N>".
   std::vector<unsigned> harts = {1};
   // The execute-tier axis (innermost, below harts). The default {kFast}
   // keeps every run on the fast-path tier with unchanged names; any other

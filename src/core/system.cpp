@@ -1,5 +1,8 @@
 #include "core/system.h"
 
+#include <algorithm>
+#include <map>
+
 #include "support/strings.h"
 
 namespace roload::core {
@@ -73,7 +76,42 @@ void RegisterKernelCounters(trace::CounterRegistry* counters,
   counters->Register("kernel.tlb_shootdowns", &k.tlb_shootdowns);
 }
 
-System::System(const SystemConfig& config) : config_(config) {
+namespace {
+
+// The plain counter names on a machine with >= 2 harts: each hart's
+// unprefixed registration, read back and summed by name, so every
+// grid/bench that reads "cpu.cycles" or "tlb.d.key_check" keeps working.
+// Sums are totals of work done; "smp.cycles_max" is the parallel
+// wall-clock (what Run() reports).
+void RegisterAggregateCounters(trace::CounterRegistry* counters,
+                               const std::vector<cpu::Cpu*>& cpus) {
+  auto per_hart =
+      std::make_shared<std::vector<trace::CounterRegistry>>(cpus.size());
+  for (std::size_t h = 0; h < cpus.size(); ++h) {
+    RegisterCpuCounters(&(*per_hart)[h], *cpus[h]);
+  }
+  counters->RegisterSource(
+      [per_hart, cpus](
+          std::vector<std::pair<std::string, std::uint64_t>>* out) {
+        std::map<std::string, std::uint64_t> sums;
+        for (const trace::CounterRegistry& hart : *per_hart) {
+          for (const auto& [name, value] : hart.Snapshot()) sums[name] += value;
+        }
+        out->insert(out->end(), sums.begin(), sums.end());
+        std::uint64_t cycles_max = 0;
+        for (const cpu::Cpu* cpu : cpus) {
+          cycles_max = std::max(cycles_max, cpu->stats().cycles);
+        }
+        out->emplace_back("smp.harts",
+                          static_cast<std::uint64_t>(cpus.size()));
+        out->emplace_back("smp.cycles_max", cycles_max);
+      });
+}
+
+}  // namespace
+
+Machine::Machine(const MachineConfig& config) : config_(config) {
+  ROLOAD_CHECK(config.harts >= 1);
   memory_ = std::make_unique<mem::PhysMemory>(config.memory_bytes);
 
   // The audit layer's census is fed by kRoLoad events, so enabling audit
@@ -87,26 +125,60 @@ System::System(const SystemConfig& config) : config_(config) {
   trace_ = std::make_unique<trace::Hub>(trace_config);
 
   cpu::CpuConfig cpu_config = config.cpu;
-  cpu_config.roload_enabled =
-      config.variant != SystemVariant::kBaseline;
+  cpu_config.roload_enabled = config.variant != SystemVariant::kBaseline;
   // Per-superblock telemetry rides the trace config: host-only collection
-  // inside the translator, observation by construction.
+  // inside each translator, observation by construction.
   if (trace_config.jit) cpu_config.jit_stats = true;
-  cpu_ = std::make_unique<cpu::Cpu>(cpu_config, memory_.get());
+
+  // A single hart keeps the single-level hierarchy — and with it the
+  // exact seed cycle model.
+  if (config.harts >= 2) {
+    l2_ = std::make_unique<cache::Cache>(config.l2);
+    l2_->set_trace(trace_.get(), trace::Unit::kL2Cache);
+  }
+
+  std::vector<cpu::Cpu*> harts;
+  for (unsigned h = 0; h < config.harts; ++h) {
+    auto cpu = std::make_unique<cpu::Cpu>(cpu_config, memory_.get());
+    if (l2_ != nullptr) cpu->set_next_level_cache(l2_.get());
+    cpu->set_trace(trace_.get());
+    // One code-version table for the whole machine (block caches stay
+    // per-hart): a store on any hart must fail the self-modifying-code
+    // guard of blocks every other hart translated from that page.
+    if (h > 0) cpu->ShareCodeTable(cpus_[0]->code_table());
+    harts.push_back(cpu.get());
+    cpus_.push_back(std::move(cpu));
+  }
 
   kernel::KernelConfig kernel_config;
   kernel_config.roload_aware = config.variant == SystemVariant::kFullRoload;
+  kernel_config.tlb_shootdown = config.tlb_shootdown;
   kernel_ = std::make_unique<kernel::Kernel>(kernel_config, memory_.get(),
-                                             cpu_.get());
-
-  trace_->set_clock(&cpu_->stats().cycles);
-  cpu_->set_trace(trace_.get());
+                                             harts);
   kernel_->set_trace(trace_.get());
-  RegisterCpuCounters(&trace_->counters(), *cpu_);
+  trace_->set_clock(&cpus_[0]->stats().cycles);
+
+  if (config.harts == 1) {
+    RegisterCpuCounters(&trace_->counters(), *cpus_[0]);
+  } else {
+    for (unsigned h = 0; h < config.harts; ++h) {
+      RegisterCpuCounters(&trace_->counters(), *cpus_[h],
+                          StrFormat("hart%u.", h));
+    }
+    RegisterAggregateCounters(&trace_->counters(), harts);
+    const cache::CacheStats& l2s = l2_->stats();
+    trace_->counters().Register("cache.l2.hit", &l2s.hits);
+    trace_->counters().Register("cache.l2.miss", &l2s.misses);
+    trace_->counters().Register("cache.l2.writeback", &l2s.writebacks);
+  }
   RegisterKernelCounters(&trace_->counters(), *kernel_);
 
   if (config_.trace.audit) {
-    auditor_ = std::make_unique<audit::Auditor>(cpu_.get(), memory_.get());
+    auditor_ = std::make_unique<audit::Auditor>(cpus_[0].get(),
+                                                memory_.get());
+    for (unsigned h = 1; h < config.harts; ++h) {
+      auditor_->RegisterHartCpu(h, cpus_[h].get());
+    }
     trace_->AddSink(auditor_.get());
     kernel_->set_fault_observer(auditor_.get());
     const audit::Auditor* auditor = auditor_.get();
@@ -117,13 +189,59 @@ System::System(const SystemConfig& config) : config_(config) {
   }
 }
 
-Status System::Load(const asmtool::LinkImage& image) {
+Status Machine::Load(const asmtool::LinkImage& image) {
   if (auditor_ != nullptr) auditor_->SetImage(image);
-  return kernel_->Load(image);
+  auto pid = kernel_->LoadProcess(image);
+  if (!pid.ok()) return pid.status();
+  // Fresh page tables may reuse recycled frames.
+  for (const auto& cpu : cpus_) cpu->FlushTlbs();
+  return Status::Ok();
 }
 
-kernel::RunResult System::Run(std::uint64_t max_instructions) {
-  return kernel_->Run(max_instructions);
+kernel::RunResult Machine::Run(std::uint64_t max_instructions) {
+  hart_results_ = kernel_->RunAll(config_.quantum, max_instructions);
+
+  // Merge to one machine-level result: a kill wins (it halted the whole
+  // machine and carries the faulting hart), then an instruction-limit,
+  // then a clean exit with the first nonzero exit code.
+  kernel::RunResult merged;
+  bool have_kill = false;
+  bool have_limit = false;
+  for (const kernel::RunResult& r : hart_results_) {
+    if (r.kind == kernel::ExitKind::kKilled && !have_kill) {
+      merged = r;
+      have_kill = true;
+    }
+  }
+  if (!have_kill) {
+    for (const kernel::RunResult& r : hart_results_) {
+      if (r.kind == kernel::ExitKind::kInstructionLimit && !have_limit) {
+        merged = r;
+        have_limit = true;
+      }
+    }
+  }
+  if (!have_kill && !have_limit) {
+    merged = hart_results_[0];
+    for (const kernel::RunResult& r : hart_results_) {
+      if (r.exit_code != 0) {
+        merged.exit_code = r.exit_code;
+        merged.hart = r.hart;
+        break;
+      }
+    }
+  }
+  std::uint64_t instructions = 0;
+  std::uint64_t cycles_max = 0;
+  for (const kernel::RunResult& r : hart_results_) {
+    instructions += r.instructions;
+    if (r.cycles > cycles_max) cycles_max = r.cycles;
+  }
+  merged.instructions = instructions;
+  merged.cycles = cycles_max;  // parallel wall-clock
+  merged.stdout_text = hart_results_[0].stdout_text;
+  merged.peak_mem_kib = hart_results_[0].peak_mem_kib;
+  return merged;
 }
 
 }  // namespace roload::core

@@ -49,7 +49,7 @@ StatusOr<BuildResult> Build(ir::Module module, const BuildOptions& options) {
   if (!image.ok()) return image.status();
 
   BuildResult result;
-  result.codegen = *codegen;
+  result.codegen = *std::move(codegen);
   result.image_bytes = image->MappedBytes();
   result.code_bytes = image->CodeBytes();
   result.image = *std::move(image);
@@ -88,34 +88,45 @@ verify::Report Verify(const BuildResult& build) {
 StatusOr<RunMetrics> RunBuild(const BuildResult& build, SystemVariant variant,
                               std::uint64_t max_instructions,
                               const trace::TraceConfig& trace,
-                              cpu::ExecTier exec) {
-  SystemConfig config;
+                              cpu::ExecTier exec, unsigned harts) {
+  MachineConfig config;
   config.variant = variant;
+  config.harts = harts;
   config.trace = trace;
   cpu::SetExecTier(&config.cpu, exec);
-  System system(config);
-  ROLOAD_RETURN_IF_ERROR(system.Load(build.image));
-  const kernel::RunResult run = system.Run(max_instructions);
+  Machine machine(config);
+  ROLOAD_RETURN_IF_ERROR(machine.Load(build.image));
+  const kernel::RunResult run = machine.Run(max_instructions);
 
   RunMetrics metrics;
   metrics.cycles = run.cycles;
   metrics.instructions = run.instructions;
-  metrics.roload_loads = system.cpu().stats().roload_loads;
   metrics.peak_mem_kib = run.peak_mem_kib;
   metrics.image_bytes = build.image_bytes;
   metrics.exit_code = run.exit_code;
   metrics.completed = run.kind == kernel::ExitKind::kExited;
   metrics.roload_violation = run.roload_violation;
   metrics.stdout_text = run.stdout_text;
+
+  std::uint64_t dt_hit = 0, dt_miss = 0;
+  cache::CacheStats dcache, icache;
+  for (unsigned h = 0; h < harts; ++h) {
+    const cpu::Cpu& cpu = machine.cpu(h);
+    metrics.roload_loads += cpu.stats().roload_loads;
+    dt_hit += cpu.dtlb_stats().hits;
+    dt_miss += cpu.dtlb_stats().misses;
+    dcache.hits += cpu.dcache_stats().hits;
+    dcache.misses += cpu.dcache_stats().misses;
+    icache.hits += cpu.icache_stats().hits;
+    icache.misses += cpu.icache_stats().misses;
+  }
   metrics.dtlb_miss_rate =
-      static_cast<double>(system.cpu().dtlb_stats().misses) /
-      static_cast<double>(system.cpu().dtlb_stats().hits +
-                          system.cpu().dtlb_stats().misses + 1);
-  metrics.dcache_miss_rate = system.cpu().dcache_stats().MissRate();
-  metrics.icache_miss_rate = system.cpu().icache_stats().MissRate();
-  metrics.counters = system.trace().counters().Snapshot();
+      static_cast<double>(dt_miss) / static_cast<double>(dt_hit + dt_miss + 1);
+  metrics.dcache_miss_rate = dcache.MissRate();
+  metrics.icache_miss_rate = icache.MissRate();
+  metrics.counters = machine.trace().counters().Snapshot();
   if (trace.profile) {
-    const trace::CycleProfiler& profiler = system.trace().profiler();
+    const trace::CycleProfiler& profiler = machine.trace().profiler();
     for (std::size_t b = 0;
          b < static_cast<std::size_t>(trace::CycleBucket::kNumBuckets); ++b) {
       const auto bucket = static_cast<trace::CycleBucket>(b);
@@ -125,7 +136,9 @@ StatusOr<RunMetrics> RunBuild(const BuildResult& build, SystemVariant variant,
   }
   if (trace.jit) {
     trace::JitReport report;
-    system.cpu().AppendJitReport(&report, /*hart=*/0);
+    for (unsigned h = 0; h < harts; ++h) {
+      machine.cpu(h).AppendJitReport(&report, h);
+    }
     trace::FinalizeJitReport(&report);
     trace::AppendJitCounters(report, &metrics.jit_counters);
   }
@@ -142,18 +155,13 @@ StatusOr<RunMetrics> CompileAndRun(const ir::Module& module,
   return RunBuild(*build, variant, max_instructions, trace);
 }
 
-verify::Report VerifyLoadedImage(System& system,
-                                 const asmtool::LinkImage& image) {
-  return VerifyLoadedImage(system.kernel(), image);
-}
-
-verify::Report VerifyLoadedImage(kernel::Kernel& kernel,
+verify::Report VerifyLoadedImage(Machine& machine,
                                  const asmtool::LinkImage& image) {
   verify::Report report;
-  kernel::AddressSpace* space = kernel.address_space();
+  kernel::AddressSpace* space = machine.kernel().address_space();
   if (space == nullptr) {
     report.Add(verify::Rule::kLoaderKeyMismatch, "",
-               "no active process (call System::Load first)");
+               "no active process (call Machine::Load first)");
     return report;
   }
   for (const asmtool::Section& section : image.sections) {

@@ -104,16 +104,19 @@ struct RunMetrics {
   }
 };
 
-// Runs an already-built image on a fresh system of `variant` and collects
-// RunMetrics. The execution half of CompileAndRun, split out so callers
-// holding a BuildResult (the campaign executor, build-only sweeps that
-// later decide to run) do not pay a second build. `exec` picks the host
-// execute tier (reference interpreter / fast paths / translation) — all
-// three are bit-identical in cycles and counters, only host speed differs.
+// Runs an already-built image on a fresh `harts`-hart machine of
+// `variant` and collects RunMetrics. The execution half of CompileAndRun,
+// split out so callers holding a BuildResult (the campaign executor,
+// build-only sweeps that later decide to run) do not pay a second build.
+// `exec` picks the host execute tier (reference interpreter / fast paths /
+// translation) — all three are bit-identical in cycles and counters, only
+// host speed differs. With >= 2 harts the counters carry the per-hart
+// "hart<N>.*" namespaces plus the merged aggregates.
 StatusOr<RunMetrics> RunBuild(const BuildResult& build, SystemVariant variant,
                               std::uint64_t max_instructions = 1ull << 34,
                               const trace::TraceConfig& trace = {},
-                              cpu::ExecTier exec = cpu::ExecTier::kFast);
+                              cpu::ExecTier exec = cpu::ExecTier::kFast,
+                              unsigned harts = 1);
 
 // Builds `module` under `defense` and runs it on a fresh system of
 // `variant`. The workhorse of every table/figure bench. `trace` configures
@@ -133,13 +136,9 @@ StatusOr<RunMetrics> CompileAndRun(const ir::Module& module,
 // static rules 20-28 verify the image; this verifies what the loader made
 // of it — a kernel that is not roload-aware maps allowlists with key 0,
 // which this check reports instead of letting the guest fault at its
-// first ld.ro. Call after System::Load.
-verify::Report VerifyLoadedImage(System& system,
-                                 const asmtool::LinkImage& image);
-// The same check against any loaded kernel — what rrun uses so the
-// cross-check also covers SMP machines (the harts share one address
-// space, so one proof covers them all).
-verify::Report VerifyLoadedImage(kernel::Kernel& kernel,
+// first ld.ro. Call after Machine::Load; the harts share one address
+// space, so one proof covers them all.
+verify::Report VerifyLoadedImage(Machine& machine,
                                  const asmtool::LinkImage& image);
 
 // Relative overhead helper: (value - base) / base * 100, in percent.

@@ -1,25 +1,25 @@
 #include "kernel/kernel.h"
 
+#include <algorithm>
+
 #include "support/bits.h"
 #include "support/logging.h"
 
 namespace roload::kernel {
 
 Kernel::Kernel(const KernelConfig& config, mem::PhysMemory* memory,
-               cpu::Cpu* cpu)
-    : config_(config), memory_(memory), cpu_(cpu) {
+               std::vector<cpu::Cpu*> harts)
+    : config_(config),
+      memory_(memory),
+      harts_(std::move(harts)),
+      hart_states_(harts_.size()),
+      live_(harts_.size(), -1) {
+  ROLOAD_CHECK(!harts_.empty());
+  cpu_ = harts_[0];
   // Reserve the low frames so the null phys page is never handed out;
   // frames start right after a small kernel-reserved region.
   const std::uint64_t total_frames = memory_->size() >> mem::kPageShift;
   frames_ = std::make_unique<FrameAllocator>(16, total_frames - 16);
-  harts_.push_back(cpu);
-  hart_states_.resize(1);
-}
-
-void Kernel::AttachHart(cpu::Cpu* cpu) {
-  ROLOAD_CHECK(cpu != nullptr);
-  harts_.push_back(cpu);
-  hart_states_.resize(harts_.size());
 }
 
 void Kernel::set_current_hart(unsigned hart) {
@@ -27,9 +27,8 @@ void Kernel::set_current_hart(unsigned hart) {
   current_hart_ = hart;
   cpu_ = harts_[hart];
   // Keep the telemetry stream coherent: timestamps come from the running
-  // hart's cycle counter and every event carries the hart id. Single-hart
-  // machines never reach this (the System wires the clock once).
-  if (trace_ != nullptr && harts_.size() > 1) {
+  // hart's cycle counter and every event carries the hart id.
+  if (trace_ != nullptr) {
     trace_->set_clock(&cpu_->stats().cycles);
     trace_->set_current_hart(hart);
   }
@@ -38,7 +37,7 @@ void Kernel::set_current_hart(unsigned hart) {
 void Kernel::ShootdownTlbs() {
   // Local sfence.vma: the calling hart always flushes.
   cpu_->FlushTlbs();
-  if (harts_.size() <= 1 || !config_.tlb_shootdown) return;
+  if (!config_.tlb_shootdown) return;
   // Remote shootdown: deliver a flush IPI to every other hart so no stale
   // keyed translation survives the PTE edit, and charge the initiator one
   // IPI round-trip per remote hart.
@@ -61,7 +60,7 @@ void Kernel::ShootdownTlbs() {
 }
 
 AddressSpace* Kernel::address_space() {
-  return active_ >= 0 ? active().space.get() : nullptr;
+  return live_[current_hart_] >= 0 ? active().space.get() : nullptr;
 }
 
 StatusOr<int> Kernel::LoadProcess(const asmtool::LinkImage& image) {
@@ -96,58 +95,70 @@ StatusOr<int> Kernel::LoadProcess(const asmtool::LinkImage& image) {
     ROLOAD_RETURN_IF_ERROR(process.space->Protect(section.vaddr, pages, prot));
   }
 
-  // Stack.
-  const std::uint64_t stack_base =
-      config_.stack_top - config_.stack_pages * mem::kPageSize;
-  ROLOAD_RETURN_IF_ERROR(
-      process.space->Map(stack_base, config_.stack_pages, PageProt::Rw()));
-
+  // One stack and one context per hart, stacks stacked downwards.
+  const int pid = static_cast<int>(processes_.size());
+  const std::uint64_t stride = config_.stack_pages * mem::kPageSize;
+  const unsigned nharts = num_harts();
+  std::vector<Context> contexts(nharts);
+  for (unsigned h = 0; h < nharts; ++h) {
+    ROLOAD_RETURN_IF_ERROR(process.space->Map(
+        config_.stack_top - (h + 1) * stride, config_.stack_pages,
+        PageProt::Rw()));
+    Context& context = contexts[h];
+    context.pid = pid;
+    context.hart = h;
+    context.pc = image.entry;
+    context.regs[isa::kSp] = config_.stack_top - h * stride - 64;
+    // SBI-style boot protocol: a0 = hartid, a1 = hart count. _start
+    // forwards both untouched, so main(i64, i64) receives them.
+    context.regs[isa::kA0] = h;
+    context.regs[isa::kA1] = nharts;
+  }
   process.brk = config_.heap_base;
   process.mmap_cursor = config_.mmap_base;
-  process.pc = image.entry;
-  process.regs[isa::kSp] = config_.stack_top - 64;
-
   processes_.push_back(std::move(process));
-  return static_cast<int>(processes_.size() - 1);
+
+  for (Context& context : contexts) {
+    const unsigned hart = context.hart;
+    contexts_.push_back(std::move(context));
+    const int live = live_[hart];
+    if (live < 0 || !contexts_[static_cast<std::size_t>(live)].alive) {
+      live_[hart] = -1;  // a finished context has nothing worth saving
+      SwitchTo(contexts_.size() - 1);
+    }
+  }
+  set_current_hart(0);
+  return pid;
 }
 
-void Kernel::SwitchTo(int pid) {
-  ROLOAD_CHECK(pid >= 0 && pid < static_cast<int>(processes_.size()));
-  if (active_ == pid) return;
-  if (active_ >= 0) {
+void Kernel::SwitchTo(std::size_t index) {
+  Context& next = contexts_[index];
+  cpu::Cpu* cpu = harts_[next.hart];
+  int& live = live_[next.hart];
+  if (live == static_cast<int>(index)) return;
+  if (live >= 0) {
     // Save exactly the base architectural state. ROLoad introduces no
-    // per-process registers: keys live in the page tables, so nothing
+    // per-context registers: keys live in the page tables, so nothing
     // extra crosses the context switch (contrast with shadow-stack
     // pointers or branch-state machines in Intel CET / ARM BTI).
-    Process& old = active();
-    old.pc = cpu_->pc();
-    for (unsigned r = 0; r < isa::kNumRegs; ++r) old.regs[r] = cpu_->reg(r);
+    Context& old = contexts_[static_cast<std::size_t>(live)];
+    old.pc = cpu->pc();
+    for (unsigned r = 0; r < isa::kNumRegs; ++r) old.regs[r] = cpu->reg(r);
     ++stats_.context_switches;
     if (trace_ != nullptr &&
         trace_->enabled(trace::EventCategory::kKernel)) {
       trace_->Emit(trace::Unit::kKernel, trace::EventCategory::kKernel,
-                   trace::EventType::kContextSwitch, cpu_->pc(), 0,
-                   static_cast<std::uint64_t>(pid));
+                   trace::EventType::kContextSwitch, cpu->pc(), 0,
+                   static_cast<std::uint64_t>(next.pid));
     }
   }
-  active_ = pid;
-  Process& next = active();
-  cpu_->set_pc(next.pc);
-  for (unsigned r = 1; r < isa::kNumRegs; ++r) {
-    cpu_->set_reg(r, next.regs[r]);
-  }
+  live = static_cast<int>(index);
+  cpu->set_pc(next.pc);
+  for (unsigned r = 1; r < isa::kNumRegs; ++r) cpu->set_reg(r, next.regs[r]);
   // satp switch: the TLB tags entries with the root PPN (ASID model), so
   // no shootdown is required on the switch path.
-  cpu_->set_root_ppn(next.space->root_ppn());
-}
-
-Status Kernel::Load(const asmtool::LinkImage& image) {
-  auto pid = LoadProcess(image);
-  if (!pid.ok()) return pid.status();
-  active_ = -1;  // discard any previous single-process session state
-  SwitchTo(*pid);
-  cpu_->FlushTlbs();  // fresh page tables may reuse recycled frames
-  return Status::Ok();
+  cpu->set_root_ppn(
+      processes_[static_cast<std::size_t>(next.pid)].space->root_ppn());
 }
 
 bool Kernel::HandleSyscall(RunResult* result) {
@@ -318,178 +329,90 @@ void Kernel::HandleTrap(const isa::Trap& trap, RunResult* result) {
   if (trace_ != nullptr) trace_->NotifyFatalSignal();
 }
 
-RunResult Kernel::Run(std::uint64_t max_instructions) {
-  ROLOAD_CHECK(active_ >= 0);
-  RunResult result;
-  const std::uint64_t start_instructions = cpu_->stats().instructions;
-  bool running = true;
-  while (running) {
-    const std::uint64_t executed =
-        cpu_->stats().instructions - start_instructions;
-    if (executed >= max_instructions) {
-      result.kind = ExitKind::kInstructionLimit;
-      break;
+std::vector<RunResult> Kernel::RunAll(std::uint64_t quantum,
+                                      std::uint64_t total_limit) {
+  ROLOAD_CHECK(!contexts_.empty());
+  ROLOAD_CHECK(quantum > 0);
+  for (Context& context : contexts_) {
+    if (context.alive) context.result = RunResult{};
+    context.result.instructions = 0;
+  }
+  std::uint64_t executed = 0;
+  bool any_alive = true;
+  while (any_alive && executed < total_limit) {
+    any_alive = false;
+    for (std::size_t i = 0; i < contexts_.size() && executed < total_limit;
+         ++i) {
+      if (!contexts_[i].alive) continue;
+      any_alive = true;
+      std::size_t runnable = 0;
+      for (const Context& context : contexts_) runnable += context.alive;
+      const std::uint64_t budget = total_limit - executed;
+      executed += RunTurn(i, runnable == 1 ? budget
+                                           : std::min(quantum, budget));
     }
-    // Batched execution: Run() retires up to the remaining budget before
-    // returning, so the scheduler check above happens at exactly the same
-    // instruction boundaries as the per-Step loop it replaced — and the
-    // translation tier gets a hot loop free of per-instruction checks.
-    switch (cpu_->Run(max_instructions - executed)) {
+  }
+
+  std::vector<RunResult> results;
+  results.reserve(contexts_.size());
+  for (Context& context : contexts_) {
+    const Process& process =
+        processes_[static_cast<std::size_t>(context.pid)];
+    RunResult& result = context.result;
+    if (context.alive) {
+      // Still running when the budget ran out.
+      result.kind = ExitKind::kInstructionLimit;
+      result.hart = context.hart;
+    }
+    result.cycles = harts_[context.hart]->stats().cycles;
+    result.peak_mem_kib = process.space->mapped_pages() * mem::kPageSize / 1024;
+    result.stdout_text = process.stdout_text;
+    results.push_back(result);
+  }
+  return results;
+}
+
+std::uint64_t Kernel::RunTurn(std::size_t index, std::uint64_t budget) {
+  Context& context = contexts_[index];
+  set_current_hart(context.hart);
+  SwitchTo(index);
+  const std::uint64_t start = cpu_->stats().instructions;
+  RunResult& result = context.result;
+  while (context.alive) {
+    const std::uint64_t executed = cpu_->stats().instructions - start;
+    if (executed >= budget) break;
+    // Batched execution: Run() retires up to the rest of the turn before
+    // returning, so the turn ends on exactly the same instruction as a
+    // per-Step loop — and the translation tier gets a hot loop free of
+    // per-instruction checks.
+    switch (cpu_->Run(budget - executed)) {
       case cpu::StepEvent::kRetired:
         break;
       case cpu::StepEvent::kEcall:
-        running = HandleSyscall(&result);
+        if (!HandleSyscall(&result)) {
+          // exit() retires the calling context only.
+          result.hart = context.hart;
+          context.alive = false;
+        }
         break;
       case cpu::StepEvent::kTrap:
+        // A fatal signal kills the whole process: every context of it
+        // stops where it stands, the faulting one reporting the kill and
+        // the others running out of budget. That halts a machine whose
+        // harts all run this program.
+        for (Context& sibling : contexts_) {
+          if (sibling.pid != context.pid || !sibling.alive) continue;
+          sibling.alive = false;
+          sibling.result.kind = ExitKind::kInstructionLimit;
+          sibling.result.hart = sibling.hart;
+        }
         HandleTrap(cpu_->pending_trap(), &result);
-        running = false;
         break;
     }
   }
-  Process& process = active();
-  if (result.kind != ExitKind::kInstructionLimit) process.alive = false;
-  result.stdout_text = process.stdout_text;
-  result.instructions = cpu_->stats().instructions - start_instructions;
-  result.cycles = cpu_->stats().cycles;
-  result.peak_mem_kib = process.space->mapped_pages() * mem::kPageSize / 1024;
-  process.result = result;
-  return result;
-}
-
-Status Kernel::LoadSmp(const asmtool::LinkImage& image) {
-  auto pid = LoadProcess(image);
-  if (!pid.ok()) return pid.status();
-  active_ = *pid;
-  Process& process = active();
-
-  // Hart 0 reuses the stack LoadProcess mapped; every further hart gets
-  // its own equally-sized region, stacked downwards below it.
-  const std::uint64_t stride = config_.stack_pages * mem::kPageSize;
-  const unsigned nharts = num_harts();
-  for (unsigned h = 1; h < nharts; ++h) {
-    const std::uint64_t base = config_.stack_top - (h + 1) * stride;
-    ROLOAD_RETURN_IF_ERROR(
-        process.space->Map(base, config_.stack_pages, PageProt::Rw()));
-  }
-
-  for (unsigned h = 0; h < nharts; ++h) {
-    cpu::Cpu* cpu = harts_[h];
-    cpu->set_pc(image.entry);
-    for (unsigned r = 1; r < isa::kNumRegs; ++r) cpu->set_reg(r, 0);
-    cpu->set_reg(isa::kSp, config_.stack_top - h * stride - 64);
-    // SBI-style boot protocol: a0 = hartid, a1 = hart count. _start
-    // forwards both untouched, so main(i64, i64) receives them.
-    cpu->set_reg(isa::kA0, h);
-    cpu->set_reg(isa::kA1, nharts);
-    cpu->set_root_ppn(process.space->root_ppn());
-    cpu->FlushTlbs();  // fresh page tables may reuse recycled frames
-    hart_states_[h] = HartState{};
-    hart_states_[h].alive = true;
-    hart_states_[h].start_instructions = cpu->stats().instructions;
-  }
-  set_current_hart(0);
-  return Status::Ok();
-}
-
-std::vector<RunResult> Kernel::RunSmp(std::uint64_t quantum,
-                                      std::uint64_t total_limit) {
-  ROLOAD_CHECK(active_ >= 0);
-  ROLOAD_CHECK(quantum > 0);
-  std::uint64_t executed = 0;
-  bool fatal = false;
-  bool any_alive = true;
-  while (any_alive && !fatal && executed < total_limit) {
-    any_alive = false;
-    for (unsigned h = 0; h < harts_.size() && !fatal; ++h) {
-      HartState& hart = hart_states_[h];
-      if (!hart.alive) continue;
-      any_alive = true;
-      set_current_hart(h);
-      const std::uint64_t turn_start = cpu_->stats().instructions;
-      bool running = true;
-      while (running && cpu_->stats().instructions - turn_start < quantum) {
-        // Batched like Kernel::Run: the quantum boundary lands on exactly
-        // the same instruction as the per-Step loop, keeping the SMP
-        // round-robin interleaving bit-identical across execute tiers.
-        switch (cpu_->Run(quantum -
-                          (cpu_->stats().instructions - turn_start))) {
-          case cpu::StepEvent::kRetired:
-            break;
-          case cpu::StepEvent::kEcall:
-            running = HandleSyscall(&hart.result);
-            if (!running) {
-              // exit() retires this hart only; the machine keeps going
-              // until every hart has exited.
-              hart.result.hart = h;
-              hart.alive = false;
-            }
-            break;
-          case cpu::StepEvent::kTrap:
-            // A fatal signal halts the whole machine, with the faulting
-            // hart recorded in the result (HandleTrap sets result.hart).
-            HandleTrap(cpu_->pending_trap(), &hart.result);
-            hart.alive = false;
-            running = false;
-            fatal = true;
-            break;
-        }
-      }
-      executed += cpu_->stats().instructions - turn_start;
-      if (executed >= total_limit) break;
-    }
-  }
-
-  Process& process = active();
-  std::vector<RunResult> results;
-  results.reserve(harts_.size());
-  bool none_alive = true;
-  for (const HartState& hart : hart_states_) {
-    if (hart.alive) none_alive = false;
-  }
-  if (fatal || none_alive) process.alive = false;
-  for (unsigned h = 0; h < harts_.size(); ++h) {
-    HartState& hart = hart_states_[h];
-    if (hart.alive) {
-      // Still running when the machine stopped: the shared instruction
-      // budget ran out, or another hart's fatal trap halted everything.
-      hart.result.kind = ExitKind::kInstructionLimit;
-      hart.result.hart = h;
-    }
-    hart.result.instructions =
-        harts_[h]->stats().instructions - hart.start_instructions;
-    hart.result.cycles = harts_[h]->stats().cycles;
-    hart.result.peak_mem_kib =
-        process.space->mapped_pages() * mem::kPageSize / 1024;
-    hart.result.stdout_text = process.stdout_text;
-    results.push_back(hart.result);
-  }
-  return results;
-}
-
-std::vector<RunResult> Kernel::RunAll(std::uint64_t slice,
-                                      std::uint64_t total_limit) {
-  ROLOAD_CHECK(!processes_.empty());
-  const std::uint64_t start_instructions = cpu_->stats().instructions;
-  bool any_alive = true;
-  while (any_alive &&
-         cpu_->stats().instructions - start_instructions < total_limit) {
-    any_alive = false;
-    for (int pid = 0; pid < static_cast<int>(processes_.size()); ++pid) {
-      if (!processes_[static_cast<std::size_t>(pid)].alive) continue;
-      any_alive = true;
-      SwitchTo(pid);
-      Run(slice);  // a limit outcome keeps the process alive
-    }
-  }
-  std::vector<RunResult> results;
-  results.reserve(processes_.size());
-  for (Process& process : processes_) {
-    if (process.alive) {
-      process.result.kind = ExitKind::kInstructionLimit;
-    }
-    results.push_back(process.result);
-  }
-  return results;
+  const std::uint64_t retired = cpu_->stats().instructions - start;
+  result.instructions += retired;
+  return retired;
 }
 
 }  // namespace roload::kernel

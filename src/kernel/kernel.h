@@ -114,76 +114,57 @@ inline constexpr unsigned kProtKeyShift = 16;
 
 // Per-hart supervisor state: the CSR analogues a real RISC-V kernel keeps
 // per hart (sepc/scause/stval snapshots of the last trap taken on that
-// hart) plus the shootdown bookkeeping. Hart 0 exists on every machine;
-// AttachHart() adds the rest.
+// hart) plus the shootdown bookkeeping.
 struct HartState {
-  bool alive = false;          // running under RunSmp
   std::uint64_t sepc = 0;      // pc of the last trap taken on this hart
   std::uint64_t scause = 0;    // its cause (isa::TrapCause value)
   std::uint64_t stval = 0;     // its faulting address
   std::uint64_t traps = 0;     // traps taken on this hart
   std::uint64_t shootdowns_received = 0;  // remote flushes delivered here
-  std::uint64_t start_instructions = 0;   // RunSmp accounting baseline
-  RunResult result;
 };
 
 class Kernel {
  public:
-  Kernel(const KernelConfig& config, mem::PhysMemory* memory, cpu::Cpu* cpu);
+  // `harts` are the machine's CPU cores (at least one); they share the
+  // physical memory, and the kernel runs each syscall and trap on the
+  // calling hart.
+  Kernel(const KernelConfig& config, mem::PhysMemory* memory,
+         std::vector<cpu::Cpu*> harts);
 
-  // Creates the process address space from `image`, maps the stack, and
-  // points the CPU at the entry. Must be called before Run(). Equivalent
-  // to LoadProcess + activating the new process.
-  Status Load(const asmtool::LinkImage& image);
-
-  // Multi-process API: creates a process without activating it; returns
-  // its pid. Processes are scheduled round-robin by RunAll().
+  // The loader: creates a process from `image` with one context per hart.
+  // Hart h enters at the image entry with a0 = h, a1 = the hart count and
+  // its own stack (hart h's stack sits h stack-regions below stack_top).
+  // A context goes live on its hart at once when the hart holds no
+  // running context; otherwise it waits, saved, for its first turn.
+  // Returns the pid.
   StatusOr<int> LoadProcess(const asmtool::LinkImage& image);
 
-  // Runs the active process until exit, fatal signal, or the limit.
-  RunResult Run(std::uint64_t max_instructions);
-
-  // Round-robin scheduler: runs every live process in `slice`-instruction
-  // time slices until all have exited/died or `total_limit` instructions
-  // have been executed overall. Context switches save/restore exactly the
-  // base architectural state (31 GPRs + pc + satp root): ROLoad adds no
-  // per-process state, and the root-tagged TLB needs no shootdown.
-  std::vector<RunResult> RunAll(std::uint64_t slice,
+  // The scheduler: round-robins over every runnable context (hart x
+  // process) in load order, each turn min(`quantum`, remaining budget)
+  // instructions — or the whole remaining budget when only one context is
+  // runnable — until none is runnable or `total_limit` instructions have
+  // retired across all harts. exit() retires the calling context; a fatal
+  // signal kills every context of its process (so it halts a machine
+  // whose harts all run one program). Context switches save/restore
+  // exactly the base architectural state (31 GPRs + pc + satp root):
+  // ROLoad adds no per-context state, and the root-tagged TLB needs no
+  // shootdown. One host thread, so the interleaving is a pure function of
+  // the program. Returns one result per context in load order — one per
+  // process on a 1-hart machine, one per hart for a single program — with
+  // instructions counted over this call.
+  std::vector<RunResult> RunAll(std::uint64_t quantum,
                                 std::uint64_t total_limit);
 
-  // ---- SMP API -------------------------------------------------------
-  // The machine starts with one hart (the constructor's cpu). AttachHart
-  // registers additional harts before LoadSmp; all harts share the
-  // physical memory and, under LoadSmp, one address space.
-  void AttachHart(cpu::Cpu* cpu);
   unsigned num_harts() const { return static_cast<unsigned>(harts_.size()); }
   unsigned current_hart() const { return current_hart_; }
-  // Points the kernel (and the trace hub's clock/hart stamp, when harts
-  // have been attached) at hart `hart`. The SMP scheduler calls this at
-  // every quantum boundary.
-  void set_current_hart(unsigned hart);
   const HartState& hart_state(unsigned hart) const {
     return hart_states_[hart];
   }
 
-  // Loads `image` once and starts every attached hart in the shared
-  // address space: hart h enters at the image entry with a0 = h,
-  // a1 = num_harts and its own stack (hart h's stack sits h stack-regions
-  // below stack_top). Must be called after AttachHart.
-  Status LoadSmp(const asmtool::LinkImage& image);
-
-  // Deterministic SMP scheduler: round-robin over live harts in hart-id
-  // order, `quantum` instructions per turn, on one host thread — the
-  // interleaving is a pure function of the program, so runs reproduce
-  // exactly regardless of host parallelism. Stops when every hart has
-  // exited, any hart takes a fatal trap (the whole machine halts,
-  // recording the faulting hart), or `total_limit` instructions have
-  // retired across all harts. Returns one result per hart.
-  std::vector<RunResult> RunSmp(std::uint64_t quantum,
-                                std::uint64_t total_limit);
-
   std::uint64_t context_switches() const { return stats_.context_switches; }
   const KernelStats& stats() const { return stats_; }
+  // The address space of the process live on the current hart; null
+  // before the first load.
   AddressSpace* address_space();
   const KernelConfig& config() const { return config_; }
 
@@ -201,18 +182,35 @@ class Kernel {
  private:
   struct Process {
     std::unique_ptr<AddressSpace> space;
-    std::array<std::uint64_t, isa::kNumRegs> regs{};
-    std::uint64_t pc = 0;
     std::uint64_t brk = 0;
     std::uint64_t mmap_cursor = 0;
     std::string stdout_text;
+  };
+
+  // One thread of control: a process's registers on one hart.
+  struct Context {
+    int pid = 0;
+    unsigned hart = 0;
+    std::array<std::uint64_t, isa::kNumRegs> regs{};
+    std::uint64_t pc = 0;
     bool alive = true;
     RunResult result;
   };
 
-  // Saves the CPU state of the active process and restores `pid`'s.
-  void SwitchTo(int pid);
-  Process& active() { return processes_[static_cast<std::size_t>(active_)]; }
+  // Points the kernel (and, with several harts, the trace hub's clock and
+  // hart stamp) at hart `hart`.
+  void set_current_hart(unsigned hart);
+  // Makes context `index` the one live on its hart's CPU, saving the
+  // context it displaces.
+  void SwitchTo(std::size_t index);
+  // Runs context `index` for up to `budget` instructions; returns how
+  // many it retired.
+  std::uint64_t RunTurn(std::size_t index, std::uint64_t budget);
+  // The process whose context is live on the current hart.
+  Process& active() {
+    const std::size_t index = static_cast<std::size_t>(live_[current_hart_]);
+    return processes_[static_cast<std::size_t>(contexts_[index].pid)];
+  }
 
   // Services the ecall the CPU just raised. Returns true when the process
   // should keep running.
@@ -230,16 +228,16 @@ class Kernel {
 
   KernelConfig config_;
   mem::PhysMemory* memory_;
-  // The running hart's CPU — every handler below reads architectural
-  // state through it. Single-hart kernels never re-point it; the SMP
-  // scheduler moves it via set_current_hart.
-  cpu::Cpu* cpu_;
-  std::vector<cpu::Cpu*> harts_;      // harts_[0] is the constructor's cpu
+  std::vector<cpu::Cpu*> harts_;
   std::vector<HartState> hart_states_;
+  // The running hart and its CPU — every handler below reads
+  // architectural state through cpu_.
   unsigned current_hart_ = 0;
+  cpu::Cpu* cpu_;
   std::unique_ptr<FrameAllocator> frames_;
   std::vector<Process> processes_;
-  int active_ = -1;
+  std::vector<Context> contexts_;
+  std::vector<int> live_;  // per hart: index of the context on its CPU, -1 none
   KernelStats stats_;
   trace::Hub* trace_ = nullptr;
   FatalFaultObserver* fault_observer_ = nullptr;

@@ -99,12 +99,11 @@ StatusOr<AttackResult> RunAttack(AttackKind kind, core::Defense defense,
                                      core::SystemVariant::kFullRoload);
 
 // The under-load variant: the victim serves on every hart of a
-// `harts`-hart SMP machine (one shared address space, so every hart
+// `harts`-hart machine (one shared address space, so every hart
 // dispatches through the same object and function-pointer slot), and the
 // corruption lands mid-run while the other harts are mid-dispatch. The
-// result records which hart's keyed dispatch caught the attack. With
-// harts == 1 this is exactly RunAttack — the single-hart machine is
-// bit-identical to the legacy System.
+// result records which hart's keyed dispatch caught the attack. RunAttack
+// is this with harts == 1.
 //
 // `inject_hart` picks whose debug port the arbitrary write goes through
 // (must be < harts). The address space is shared, so the verdict, the

@@ -1,107 +1,24 @@
-// Multi-hart ROLoad machine (src/smp): N CPU cores — each with its own
-// L1 caches and I/D TLBs — behind a shared L2 and one physical memory,
-// scheduled by a deterministic timing-interleaved round-robin (a fixed
-// instruction quantum per hart, on a single host thread, so a run's
-// interleaving is a pure function of the program and the config, never of
-// host parallelism). The kernel is hart-aware: syscalls execute on the
-// calling hart, traps latch that hart's supervisor CSRs, and PTE edits
-// trigger the TLB-shootdown protocol (kernel::Kernel::ShootdownTlbs) so a
-// key change made on one hart can never leave a stale keyed translation
-// live in another hart's TLB.
-//
-// A Machine with harts == 1 is exactly the single-hart System: it takes
-// the legacy Load()/Run() kernel path, attaches no L2, and registers the
-// historical counter names — cycles and every counter are bit-identical
-// (pinned by the differential test in tests/test_smp.cpp).
+// The multi-hart names for the one ROLoad machine (core/system.h): an
+// smp::Machine is a core::Machine, whatever its hart count.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "audit/audit.h"
-#include "cache/cache.h"
 #include "core/system.h"
 #include "core/toolchain.h"
-#include "cpu/cpu.h"
-#include "kernel/kernel.h"
-#include "mem/phys_memory.h"
-#include "trace/hub.h"
 
 namespace roload::smp {
 
-struct SmpConfig {
-  core::SystemVariant variant = core::SystemVariant::kFullRoload;
-  unsigned harts = 1;
-  std::uint64_t memory_bytes = 64ull * 1024 * 1024;
-  cpu::CpuConfig cpu;  // per-hart geometry; defaults match Table II
-  // Shared L2 behind every hart's L1s, present only with >= 2 harts (a
-  // single hart keeps the System's flat L1-miss latency, for
-  // bit-identity). 256 KiB, 8-way by default; its miss_cycles is the DRAM
-  // latency.
-  cache::CacheConfig l2{256 * 1024, 8, 64, 12, 40, 10, true};
-  // Scheduler quantum: instructions each hart runs per turn. Smaller
-  // values interleave tighter (the shootdown race tests use ~100);
-  // the default keeps scheduling overhead negligible.
-  std::uint64_t quantum = 10000;
-  // The shootdown protocol switch (kernel::KernelConfig::tlb_shootdown).
-  // Off models the unsound local-only sfence.vma kernel.
-  bool tlb_shootdown = true;
-  trace::TraceConfig trace;
-};
+using Machine = core::Machine;
+using SmpConfig = core::MachineConfig;
 
-class Machine {
- public:
-  explicit Machine(const SmpConfig& config = {});
-
-  // Loads `image` and prepares every hart (shared address space, per-hart
-  // stack, a0 = hartid, a1 = harts). With one hart this is exactly
-  // System::Load.
-  Status Load(const asmtool::LinkImage& image);
-
-  // Runs to completion (all harts exited), a fatal signal on any hart
-  // (which halts the whole machine), or `max_instructions` retired across
-  // all harts. The returned result merges the per-hart results: a kill
-  // wins (carrying the faulting hart id), then an instruction-limit, then
-  // normal exit (first nonzero exit code across harts, else 0);
-  // instructions sum across harts while cycles are the maximum over harts
-  // — the parallel wall-clock. With one hart this is exactly System::Run.
-  kernel::RunResult Run(std::uint64_t max_instructions = 1ull << 34);
-
-  // Per-hart results of the last Run (size harts; size 1 single-hart).
-  const std::vector<kernel::RunResult>& hart_results() const {
-    return hart_results_;
-  }
-
-  unsigned harts() const { return config_.harts; }
-  cpu::Cpu& cpu(unsigned hart = 0) { return *cpus_[hart]; }
-  kernel::Kernel& kernel() { return *kernel_; }
-  mem::PhysMemory& memory() { return *memory_; }
-  cache::Cache* l2() { return l2_.get(); }
-  trace::Hub& trace() { return *trace_; }
-  const trace::Hub& trace() const { return *trace_; }
-  audit::Auditor* audit() { return auditor_.get(); }
-
- private:
-  SmpConfig config_;
-  std::unique_ptr<mem::PhysMemory> memory_;
-  std::unique_ptr<trace::Hub> trace_;
-  std::unique_ptr<cache::Cache> l2_;
-  std::vector<std::unique_ptr<cpu::Cpu>> cpus_;
-  std::unique_ptr<kernel::Kernel> kernel_;
-  std::unique_ptr<audit::Auditor> auditor_;
-  std::vector<kernel::RunResult> hart_results_;
-};
-
-// The SMP analogue of core::RunBuild: runs an already-built image on a
-// fresh `harts`-hart machine and collects the usual RunMetrics (counters
-// carry the per-hart "hart<N>.*" namespaces plus the merged aggregates
-// when harts > 1). With harts == 1 every metric is bit-identical to
-// core::RunBuild — the differential test in tests/test_smp.cpp pins it.
-StatusOr<core::RunMetrics> RunBuildSmp(
+// core::RunBuild with the hart count up front.
+inline StatusOr<core::RunMetrics> RunBuildSmp(
     const core::BuildResult& build, core::SystemVariant variant,
     unsigned harts, std::uint64_t max_instructions = 1ull << 34,
     const trace::TraceConfig& trace = {},
-    cpu::ExecTier exec = cpu::ExecTier::kFast);
+    cpu::ExecTier exec = cpu::ExecTier::kFast) {
+  return core::RunBuild(build, variant, max_instructions, trace, exec, harts);
+}
 
 }  // namespace roload::smp

@@ -83,6 +83,7 @@ class StatusOr {
 
   const T& operator*() const& { return *value_; }
   T& operator*() & { return *value_; }
+  T&& operator*() && { return *std::move(value_); }
   const T* operator->() const { return &*value_; }
   T* operator->() { return &*value_; }
 

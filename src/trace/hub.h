@@ -45,14 +45,13 @@ class Hub {
   }
   bool profiling() const { return config_.profile; }
 
-  // Timestamp source: the CPU's cycle counter. Set once by the System.
-  // SMP machines re-point it at the running hart's counter on every
-  // scheduler turn (alongside set_current_hart).
+  // Timestamp source: the running hart's cycle counter. The kernel
+  // re-points it on every scheduler turn (alongside set_current_hart).
   void set_clock(const std::uint64_t* cycles) { clock_ = cycles; }
   std::uint64_t now() const { return clock_ != nullptr ? *clock_ : 0; }
 
-  // Hart id stamped into every emitted event. The SMP scheduler updates
-  // it before each hart's quantum; single-hart systems never touch it.
+  // Hart id stamped into every emitted event. The scheduler updates it
+  // before each turn.
   void set_current_hart(unsigned hart) {
     current_hart_ = static_cast<std::uint8_t>(hart);
   }

@@ -8,6 +8,8 @@
 #include "isa/encoding.h"
 #include "isa/registers.h"
 #include "mem/phys_memory.h"
+#include "support/strings.h"
+#include "tests/guest_util.h"
 
 namespace roload::asmtool {
 namespace {
@@ -163,7 +165,31 @@ TEST(AssemblerTest, LiExpansions) {
       MustAssemble(".text\n_start:\n  li a0, 0x12345678\n");
   EXPECT_EQ(DecodeAt(large, 0).op, isa::Opcode::kLui);
   EXPECT_EQ(DecodeAt(large, 4).op, isa::Opcode::kAddiw);
-  EXPECT_FALSE(Assemble(".text\n_start:\n  li a0, 0x123456789\n").ok());
+  EXPECT_TRUE(Assemble(".text\n_start:\n  li a0, 0x123456789\n").ok());
+}
+
+TEST(AssemblerTest, WideLiRoundTripsThroughRun) {
+  // Each value is built by li and compared with the same value stored as
+  // data; the guest exits 0 only when all of them match.
+  const std::int64_t values[] = {
+      0x123456789,           -0x123456789,
+      0x80000000,            0xFFFFFFFF,
+      0x100000000,           0x7FFFFFFFFFFFF800,
+      INT64_MAX,             INT64_MIN,
+      -0x7FFFFFFFFFFFF801,   0x0123456789ABCDEF,
+      0x00FFF00000000FFF,    static_cast<std::int64_t>(0xDEADBEEFCAFEF00D)};
+  std::string text = ".text\n_start:\n  la t1, expected\n  li a0, 0\n";
+  std::string data = ".data\nexpected:\n";
+  for (std::int64_t value : values) {
+    const auto bits = static_cast<unsigned long long>(value);
+    text += StrFormat(
+        "  li t0, 0x%llx\n  ld t2, 0(t1)\n  addi t1, t1, 8\n"
+        "  xor t2, t2, t0\n  or a0, a0, t2\n",
+        bits);
+    data += StrFormat("  .quad 0x%llx\n", bits);
+  }
+  text += "  snez a0, a0\n  li a7, 93\n  ecall\n";
+  roload::testing::ExpectExit(text + data, 0);
 }
 
 TEST(AssemblerTest, PseudoInstructions) {

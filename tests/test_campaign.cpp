@@ -233,6 +233,20 @@ TEST(CampaignGridTest, EmptyGridIsFullSuiteUnhardened) {
   EXPECT_EQ(spec.configs[0].label, "none");
 }
 
+TEST(CampaignGridTest, NonzeroSeedAssemblesAndRuns) {
+  // Derived seeds are 64-bit, so the generated program carries li
+  // immediates wider than 32 bits.
+  campaign::CampaignSpec spec;
+  ASSERT_TRUE(campaign::ParseGrid(
+                  "workloads=429.mcf_like;defenses=none;scale=0.05;seed=1",
+                  0.5, &spec)
+                  .ok());
+  const campaign::CampaignResult result = campaign::Run(spec);
+  ASSERT_EQ(result.outcomes().size(), 1u);
+  EXPECT_EQ(result.faults(), 0u) << result.outcomes()[0].FailureText();
+  EXPECT_TRUE(result.outcomes()[0].metrics.completed);
+}
+
 TEST(CampaignGridTest, RejectsUnknownTokens) {
   campaign::CampaignSpec spec;
   EXPECT_FALSE(campaign::ParseGrid("bogus=1", 0.5, &spec).ok());

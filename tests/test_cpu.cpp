@@ -27,6 +27,12 @@ struct AluCase {
   std::int64_t (*golden)(std::int64_t, std::int64_t);
 };
 
+// Prints the mnemonic, so test names do not depend on where the process is
+// loaded (gtest otherwise dumps the struct's pointer bytes).
+void PrintTo(const AluCase& test_case, std::ostream* os) {
+  *os << test_case.mnemonic;
+}
+
 const AluCase kAluCases[] = {
     {"add", [](std::int64_t a, std::int64_t b) { return a + b; }},
     {"sub", [](std::int64_t a, std::int64_t b) { return a - b; }},

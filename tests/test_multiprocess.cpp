@@ -151,6 +151,23 @@ msg: .asciz "%s"
   EXPECT_EQ(results[1].stdout_text, "BBB");
 }
 
+TEST_F(MultiProcessTest, ResultsCountEveryInstructionOfTheCall) {
+  MustLoad(KeyedWorker(1, 101, 300));
+  MustLoad(KeyedWorker(2, 102, 300));
+  // A budget that runs out mid-slice: the scheduler stops exactly on it.
+  auto partial = system_.kernel().RunAll(/*slice=*/64, /*total_limit=*/1000);
+  ASSERT_EQ(partial.size(), 2u);
+  EXPECT_EQ(partial[0].kind, ExitKind::kInstructionLimit);
+  EXPECT_EQ(partial[0].instructions + partial[1].instructions, 1000u);
+  // Each process's result covers all of its slices in the call, not the
+  // last one only.
+  auto rest = system_.kernel().RunAll(/*slice=*/64, /*total_limit=*/1 << 22);
+  EXPECT_EQ(rest[0].kind, ExitKind::kExited);
+  EXPECT_EQ(rest[1].kind, ExitKind::kExited);
+  EXPECT_EQ(1000 + rest[0].instructions + rest[1].instructions,
+            system_.cpu().stats().instructions);
+}
+
 TEST_F(MultiProcessTest, SingleProcessApiStillWorks) {
   // The legacy Load/Run pair must behave exactly as before on top of the
   // multi-process internals.

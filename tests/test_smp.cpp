@@ -112,6 +112,28 @@ TEST(SmpRpcScalingTest, InterleavingIsDeterministic) {
   EXPECT_EQ(a->counters, b->counters);
 }
 
+// --- The instruction budget. ------------------------------------------
+
+TEST(SmpBudgetTest, RunRetiresExactlyTheBudgetOnEveryCall) {
+  // Neither budget is a multiple of the 10000-instruction quantum: the
+  // last turn of each call is clamped to what is left.
+  const auto build = BuildWorkload(workloads::RpcServerWorkload(6000),
+                                   core::Defense::kICall);
+  SmpConfig config;
+  config.harts = 2;
+  Machine machine(config);
+  ASSERT_TRUE(machine.Load(build.image).ok());
+  const kernel::RunResult first = machine.Run(15000);
+  EXPECT_EQ(first.kind, kernel::ExitKind::kInstructionLimit);
+  EXPECT_EQ(first.instructions, 15000u);
+  const kernel::RunResult second = machine.Run(25000);
+  EXPECT_EQ(second.kind, kernel::ExitKind::kInstructionLimit);
+  EXPECT_EQ(second.instructions, 25000u);
+  EXPECT_EQ(machine.cpu(0).stats().instructions +
+                machine.cpu(1).stats().instructions,
+            40000u);
+}
+
 // --- The TLB-shootdown race. -------------------------------------------
 //
 // Hart 1 warms its dTLB with a key-5 read-only translation; hart 0 then

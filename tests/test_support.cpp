@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,13 @@ TEST(BitsTest, PowersAndAlignment) {
   EXPECT_EQ(AlignDown(4097, 4096), 4096u);
   EXPECT_EQ(AlignUp(4097, 4096), 8192u);
   EXPECT_EQ(AlignUp(4096, 4096), 4096u);
+}
+
+TEST(StatusOrTest, RvalueDereferenceMovesTheValueOut) {
+  StatusOr<std::unique_ptr<int>> holder(std::make_unique<int>(7));
+  std::unique_ptr<int> value = *std::move(holder);
+  ASSERT_NE(value, nullptr);
+  EXPECT_EQ(*value, 7);
 }
 
 TEST(StringsTest, StripWhitespace) {

@@ -64,6 +64,12 @@ struct PermCase {
   isa::TrapCause cause;
 };
 
+// Prints the case name, so test names do not depend on where the process is
+// loaded (gtest otherwise dumps the struct's pointer bytes).
+void PrintTo(const PermCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
+
 class PermissionMatrixTest : public ::testing::TestWithParam<PermCase> {};
 
 TEST_P(PermissionMatrixTest, Enforced) {

@@ -7,8 +7,8 @@
 //        [--stats-json FILE] [--profile FILE] [--trace-events FILE]
 //        [--audit FILE] [--jit-report FILE] [--list-counters]
 //
-// --harts         run on an N-hart SMP machine (default 1, the legacy
-//                 single-hart system — bit-identical cycles/counters).
+// --harts         run on an N-hart machine (default 1; with >= 2 harts the
+//                 harts share an L2 and --stats adds per-hart lines).
 //                 Every hart boots at _start with a0 = hartid, a1 = N;
 //                 the exit-code contract below is machine-level: a ROLoad
 //                 kill on ANY hart exits 99, whichever hart it was
@@ -70,7 +70,6 @@
 #include "core/system.h"
 #include "core/toolchain.h"
 #include "isa/disasm.h"
-#include "smp/machine.h"
 #include "support/strings.h"
 #include "trace/exporters.h"
 #include "trace/jitstats.h"
@@ -215,7 +214,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  smp::SmpConfig config;
+  core::MachineConfig config;
   config.variant = variant;
   config.harts = harts;
   if (!jit_report_path.empty()) {
@@ -235,9 +234,7 @@ int main(int argc, char** argv) {
   if (!trace_events_path.empty()) {
     config.trace.categories = trace::kAllCategories;
   }
-  // One hart is the legacy single-hart System, bit-for-bit; more harts
-  // share the address space behind a shared L2.
-  smp::Machine system(config);
+  core::Machine system(config);
   if (Status status = system.Load(image); !status.ok()) {
     std::fprintf(stderr, "rrun: %s\n", status.ToString().c_str());
     return 1;
@@ -248,7 +245,7 @@ int main(int argc, char** argv) {
     // tables the kernel just built (a roload-unaware kernel silently maps
     // keys as 0, which would disarm ld.ro).
     const verify::Report loader_report =
-        core::VerifyLoadedImage(system.kernel(), image);
+        core::VerifyLoadedImage(system, image);
     if (!loader_report.ok()) {
       std::fprintf(stderr, "rrun: loader verification failed:\n%s",
                    loader_report.ToText().c_str());
