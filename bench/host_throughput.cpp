@@ -1,10 +1,8 @@
 // Host throughput: simulated-MIPS of the simulator itself across the
 // three execute tiers — the reference interpreter (every host fast path
-// off: the seed simulator, so the `interp` column is a recorded
-// pre-change baseline, not an estimate), the PR 2 host fast paths
-// (decode cache, indexed TLB lookup, cache index math), and the
-// superblock translation tier (pre-decoded blocks entered through
-// guards, chained block-to-block; see docs/PERF.md).
+// off), the host fast paths (decode cache, indexed TLB lookup, cache
+// index math), and the superblock translation tier (pre-decoded blocks
+// entered through guards, chained block-to-block; see docs/PERF.md).
 //
 // The tiers claim to be invisible to the simulation: every tier pair is
 // checked for bit-identical cycles, instructions, exit code and the full
@@ -234,8 +232,6 @@ int main() {
   session.Record("fig4.speedup", fig4.FastSpeedup());
   session.Record("fig4.translated_speedup", fig4.TranslatedSpeedup());
   session.Record("bit_identical", std::uint64_t{all_identical ? 1u : 0u});
-  session.Record("required.fig3_speedup", 1.5);
-  session.Record("required.fig3_translated_speedup", 10.0);
   bench::WriteBenchJson(session);
   return all_identical ? 0 : 1;
 }

@@ -14,9 +14,226 @@ bool EndsBlock(isa::Opcode op) {
          op == isa::Opcode::kEcall || op == isa::Opcode::kEbreak;
 }
 
-bool IsStoreOp(isa::Opcode op) {
-  return op == isa::Opcode::kSb || op == isa::Opcode::kSh ||
-         op == isa::Opcode::kSw || op == isa::Opcode::kSd;
+// The RV64IM register-register and register-immediate ALU, lui and auipc:
+// every op that only reads rs1, rs2, imm and pc and writes rd. Sets *rd,
+// adds the M-extension latency to *cycles and returns true; returns false
+// for any other opcode. This is the one copy of these semantics: Step()
+// and the block executor both run it, so the tiers cannot disagree on an
+// ALU result or its cycles.
+[[gnu::always_inline]] inline bool ExecuteAlu(const isa::Instruction& inst,
+                                              std::uint64_t rs1,
+                                              std::uint64_t rs2,
+                                              std::uint64_t pc,
+                                              const CpuConfig& config,
+                                              std::uint64_t* rd,
+                                              unsigned* cycles) {
+  std::uint64_t value;
+  using isa::Opcode;
+  switch (inst.op) {
+    case Opcode::kAddi:
+      value = rs1 + static_cast<std::uint64_t>(inst.imm);
+      break;
+    case Opcode::kSlti:
+      value = static_cast<std::int64_t>(rs1) < inst.imm ? 1 : 0;
+      break;
+    case Opcode::kSltiu:
+      value = rs1 < static_cast<std::uint64_t>(inst.imm) ? 1 : 0;
+      break;
+    case Opcode::kXori:
+      value = rs1 ^ static_cast<std::uint64_t>(inst.imm);
+      break;
+    case Opcode::kOri:
+      value = rs1 | static_cast<std::uint64_t>(inst.imm);
+      break;
+    case Opcode::kAndi:
+      value = rs1 & static_cast<std::uint64_t>(inst.imm);
+      break;
+    case Opcode::kSlli:
+      value = rs1 << (inst.imm & 63);
+      break;
+    case Opcode::kSrli:
+      value = rs1 >> (inst.imm & 63);
+      break;
+    case Opcode::kSrai:
+      value = static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(rs1) >> (inst.imm & 63));
+      break;
+    case Opcode::kAddiw:
+      value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
+          static_cast<std::int32_t>(rs1 + static_cast<std::uint64_t>(inst.imm))));
+      break;
+    case Opcode::kSlliw:
+      value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
+          static_cast<std::int32_t>(rs1 << (inst.imm & 31))));
+      break;
+    case Opcode::kSrliw:
+      value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
+          static_cast<std::int32_t>(static_cast<std::uint32_t>(rs1) >>
+                                    (inst.imm & 31))));
+      break;
+    case Opcode::kSraiw:
+      value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
+          static_cast<std::int32_t>(rs1) >> (inst.imm & 31)));
+      break;
+    case Opcode::kAdd:
+      value = rs1 + rs2;
+      break;
+    case Opcode::kSub:
+      value = rs1 - rs2;
+      break;
+    case Opcode::kSll:
+      value = rs1 << (rs2 & 63);
+      break;
+    case Opcode::kSlt:
+      value = static_cast<std::int64_t>(rs1) < static_cast<std::int64_t>(rs2)
+                  ? 1
+                  : 0;
+      break;
+    case Opcode::kSltu:
+      value = rs1 < rs2 ? 1 : 0;
+      break;
+    case Opcode::kXor:
+      value = rs1 ^ rs2;
+      break;
+    case Opcode::kSrl:
+      value = rs1 >> (rs2 & 63);
+      break;
+    case Opcode::kSra:
+      value = static_cast<std::uint64_t>(static_cast<std::int64_t>(rs1) >>
+                                         (rs2 & 63));
+      break;
+    case Opcode::kOr:
+      value = rs1 | rs2;
+      break;
+    case Opcode::kAnd:
+      value = rs1 & rs2;
+      break;
+    case Opcode::kAddw:
+      value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
+          static_cast<std::int32_t>(rs1 + rs2)));
+      break;
+    case Opcode::kSubw:
+      value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
+          static_cast<std::int32_t>(rs1 - rs2)));
+      break;
+    case Opcode::kSllw:
+      value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
+          static_cast<std::int32_t>(rs1 << (rs2 & 31))));
+      break;
+    case Opcode::kSrlw:
+      value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
+          static_cast<std::int32_t>(static_cast<std::uint32_t>(rs1) >>
+                                    (rs2 & 31))));
+      break;
+    case Opcode::kSraw:
+      value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
+          static_cast<std::int32_t>(rs1) >> (rs2 & 31)));
+      break;
+    case Opcode::kMul:
+      *cycles += config.mul_cycles;
+      value = rs1 * rs2;
+      break;
+    case Opcode::kMulw:
+      *cycles += config.mul_cycles;
+      value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
+          static_cast<std::int32_t>(rs1 * rs2)));
+      break;
+    case Opcode::kDiv: {
+      *cycles += config.div_cycles;
+      const auto a = static_cast<std::int64_t>(rs1);
+      const auto b = static_cast<std::int64_t>(rs2);
+      if (b == 0) {
+        value = ~std::uint64_t{0};
+      } else if (a == INT64_MIN && b == -1) {
+        value = rs1;
+      } else {
+        value = static_cast<std::uint64_t>(a / b);
+      }
+      break;
+    }
+    case Opcode::kDivu:
+      *cycles += config.div_cycles;
+      value = rs2 == 0 ? ~std::uint64_t{0} : rs1 / rs2;
+      break;
+    case Opcode::kRem: {
+      *cycles += config.div_cycles;
+      const auto a = static_cast<std::int64_t>(rs1);
+      const auto b = static_cast<std::int64_t>(rs2);
+      if (b == 0) {
+        value = rs1;
+      } else if (a == INT64_MIN && b == -1) {
+        value = 0;
+      } else {
+        value = static_cast<std::uint64_t>(a % b);
+      }
+      break;
+    }
+    case Opcode::kRemu:
+      *cycles += config.div_cycles;
+      value = rs2 == 0 ? rs1 : rs1 % rs2;
+      break;
+    case Opcode::kDivw: {
+      *cycles += config.div_cycles;
+      const auto a = static_cast<std::int32_t>(rs1);
+      const auto b = static_cast<std::int32_t>(rs2);
+      std::int32_t q;
+      if (b == 0) {
+        q = -1;
+      } else if (a == INT32_MIN && b == -1) {
+        q = a;
+      } else {
+        q = a / b;
+      }
+      value = static_cast<std::uint64_t>(static_cast<std::int64_t>(q));
+      break;
+    }
+    case Opcode::kRemw: {
+      *cycles += config.div_cycles;
+      const auto a = static_cast<std::int32_t>(rs1);
+      const auto b = static_cast<std::int32_t>(rs2);
+      std::int32_t r;
+      if (b == 0) {
+        r = a;
+      } else if (a == INT32_MIN && b == -1) {
+        r = 0;
+      } else {
+        r = a % b;
+      }
+      value = static_cast<std::uint64_t>(static_cast<std::int64_t>(r));
+      break;
+    }
+    case Opcode::kLui:
+      value = static_cast<std::uint64_t>(inst.imm << 12);
+      break;
+    case Opcode::kAuipc:
+      value = pc + static_cast<std::uint64_t>(inst.imm << 12);
+      break;
+    default:
+      return false;
+  }
+  *rd = value;
+  return true;
+}
+
+// The condition of a conditional branch (false for any other opcode).
+inline bool BranchTaken(isa::Opcode op, std::uint64_t rs1, std::uint64_t rs2) {
+  using isa::Opcode;
+  switch (op) {
+    case Opcode::kBeq:
+      return rs1 == rs2;
+    case Opcode::kBne:
+      return rs1 != rs2;
+    case Opcode::kBlt:
+      return static_cast<std::int64_t>(rs1) < static_cast<std::int64_t>(rs2);
+    case Opcode::kBge:
+      return static_cast<std::int64_t>(rs1) >= static_cast<std::int64_t>(rs2);
+    case Opcode::kBltu:
+      return rs1 < rs2;
+    case Opcode::kBgeu:
+      return rs1 >= rs2;
+    default:
+      return false;
+  }
 }
 
 }  // namespace
@@ -27,7 +244,6 @@ void SetHostFastPaths(CpuConfig* config, bool enabled) {
   config->dcache.host_fast_path = enabled;
   config->itlb.host_indexed_lookup = enabled;
   config->dtlb.host_indexed_lookup = enabled;
-  config->host_unchecked_mem = enabled;
 }
 
 void SetExecTier(CpuConfig* config, ExecTier tier) {
@@ -63,8 +279,7 @@ Cpu::Cpu(const CpuConfig& config, mem::PhysMemory* memory)
       dtlb_(config.dtlb, memory) {
   if (config.host_decode_cache) decode_cache_.resize(kDecodeCacheSlots);
   if (config.host_translate) {
-    translator_ = std::make_unique<Translator>(config.translate_threshold,
-                                               config.translate_max_blocks);
+    translator_ = std::make_unique<Translator>(config.translate_threshold);
     if (config.jit_stats) translator_->EnableJitStats();
     code_table_ = std::make_shared<CodeVersionTable>(memory->size());
     code_table_ptr_ = code_table_.get();
@@ -148,9 +363,8 @@ bool Cpu::FetchDecode(isa::Instruction* inst, unsigned* cycles) {
                               ifetch_cycles - config_.icache.hit_cycles);
   }
 
-  std::uint32_t raw = static_cast<std::uint32_t>(
-      config_.host_unchecked_mem ? memory_->ReadUnchecked(low.phys_addr, 2)
-                                 : memory_->Read(low.phys_addr, 2));
+  std::uint32_t raw =
+      static_cast<std::uint32_t>(memory_->ReadUnchecked(low.phys_addr, 2));
   const unsigned length = isa::ParcelLength(static_cast<std::uint16_t>(raw));
   if (length == 4) {
     // The upper half may live on the next page.
@@ -180,10 +394,7 @@ bool Cpu::FetchDecode(isa::Instruction* inst, unsigned* cycles) {
       RaiseTrap(isa::TrapCause::kInstructionAccessFault, pc_);
       return false;
     }
-    raw |= static_cast<std::uint32_t>(
-               config_.host_unchecked_mem
-                   ? memory_->ReadUnchecked(upper_phys, 2)
-                   : memory_->Read(upper_phys, 2))
+    raw |= static_cast<std::uint32_t>(memory_->ReadUnchecked(upper_phys, 2))
            << 16;
   }
 
@@ -268,19 +479,13 @@ bool Cpu::MemAccess(const isa::Instruction& inst, std::uint64_t virt_addr,
                               dcache_cycles - config_.dcache.hit_cycles);
   }
   if (write) {
-    if (config_.host_unchecked_mem) {
-      memory_->WriteUnchecked(xlat.phys_addr, bytes, *value);
-    } else {
-      memory_->Write(xlat.phys_addr, bytes, *value);
-    }
+    memory_->WriteUnchecked(xlat.phys_addr, bytes, *value);
     // Self-modifying-code barrier for the translation tier (no-op unless
     // the page holds translated code; stores are size-aligned, so one
     // page covers the whole access).
     if (code_table_ptr_ != nullptr) code_table_ptr_->OnWrite(xlat.phys_addr);
   } else {
-    std::uint64_t raw = config_.host_unchecked_mem
-                            ? memory_->ReadUnchecked(xlat.phys_addr, bytes)
-                            : memory_->Read(xlat.phys_addr, bytes);
+    std::uint64_t raw = memory_->ReadUnchecked(xlat.phys_addr, bytes);
     if (!isa::LoadIsUnsigned(inst.op) && bytes < 8) {
       raw = static_cast<std::uint64_t>(
           SignExtend(raw, bytes * 8));
@@ -313,16 +518,7 @@ StepEvent Cpu::Step() {
 }
 
 StepEvent Cpu::ExecuteDecoded(const isa::Instruction& inst, unsigned cycles) {
-  return ExecuteDecodedImpl<false>(inst, cycles);
-}
-
-template <bool kLean>
-StepEvent Cpu::ExecuteDecodedImpl(const isa::Instruction& inst,
-                                  unsigned cycles) {
-  // kLean runs strictly under TranslationTransparent(), where profiling is
-  // guaranteed off — fold the checks away at compile time.
-  const bool profiling =
-      !kLean && trace_ != nullptr && trace_->profiling();
+  const bool profiling = trace_ != nullptr && trace_->profiling();
   const std::uint64_t step_pc = pc_;
   const std::uint64_t next_pc = pc_ + inst.length;
   std::uint64_t new_pc = next_pc;
@@ -330,187 +526,18 @@ StepEvent Cpu::ExecuteDecodedImpl(const isa::Instruction& inst,
   const std::uint64_t rs2 = regs_[inst.rs2];
   std::uint64_t rd_value = 0;
   bool writes_rd = true;
+  // A trapping op charges its cycles but does not retire; pc stays on it.
+  const auto trap = [&] {
+    stats_.cycles += cycles + 1;
+    if (profiling) {
+      trace_->profiler().EndStep(trace::CycleBucket::kTrap, step_pc,
+                                 cycles + 1);
+    }
+    return StepEvent::kTrap;
+  };
 
   using isa::Opcode;
   switch (inst.op) {
-    case Opcode::kAddi:
-      rd_value = rs1 + static_cast<std::uint64_t>(inst.imm);
-      break;
-    case Opcode::kSlti:
-      rd_value = static_cast<std::int64_t>(rs1) < inst.imm ? 1 : 0;
-      break;
-    case Opcode::kSltiu:
-      rd_value = rs1 < static_cast<std::uint64_t>(inst.imm) ? 1 : 0;
-      break;
-    case Opcode::kXori:
-      rd_value = rs1 ^ static_cast<std::uint64_t>(inst.imm);
-      break;
-    case Opcode::kOri:
-      rd_value = rs1 | static_cast<std::uint64_t>(inst.imm);
-      break;
-    case Opcode::kAndi:
-      rd_value = rs1 & static_cast<std::uint64_t>(inst.imm);
-      break;
-    case Opcode::kSlli:
-      rd_value = rs1 << (inst.imm & 63);
-      break;
-    case Opcode::kSrli:
-      rd_value = rs1 >> (inst.imm & 63);
-      break;
-    case Opcode::kSrai:
-      rd_value = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(rs1) >> (inst.imm & 63));
-      break;
-    case Opcode::kAddiw:
-      rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
-          static_cast<std::int32_t>(rs1 + static_cast<std::uint64_t>(inst.imm))));
-      break;
-    case Opcode::kSlliw:
-      rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
-          static_cast<std::int32_t>(rs1 << (inst.imm & 31))));
-      break;
-    case Opcode::kSrliw:
-      rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
-          static_cast<std::int32_t>(static_cast<std::uint32_t>(rs1) >>
-                                    (inst.imm & 31))));
-      break;
-    case Opcode::kSraiw:
-      rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
-          static_cast<std::int32_t>(rs1) >> (inst.imm & 31)));
-      break;
-    case Opcode::kAdd:
-      rd_value = rs1 + rs2;
-      break;
-    case Opcode::kSub:
-      rd_value = rs1 - rs2;
-      break;
-    case Opcode::kSll:
-      rd_value = rs1 << (rs2 & 63);
-      break;
-    case Opcode::kSlt:
-      rd_value = static_cast<std::int64_t>(rs1) < static_cast<std::int64_t>(rs2)
-                     ? 1
-                     : 0;
-      break;
-    case Opcode::kSltu:
-      rd_value = rs1 < rs2 ? 1 : 0;
-      break;
-    case Opcode::kXor:
-      rd_value = rs1 ^ rs2;
-      break;
-    case Opcode::kSrl:
-      rd_value = rs1 >> (rs2 & 63);
-      break;
-    case Opcode::kSra:
-      rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(rs1) >>
-                                            (rs2 & 63));
-      break;
-    case Opcode::kOr:
-      rd_value = rs1 | rs2;
-      break;
-    case Opcode::kAnd:
-      rd_value = rs1 & rs2;
-      break;
-    case Opcode::kAddw:
-      rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
-          static_cast<std::int32_t>(rs1 + rs2)));
-      break;
-    case Opcode::kSubw:
-      rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
-          static_cast<std::int32_t>(rs1 - rs2)));
-      break;
-    case Opcode::kSllw:
-      rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
-          static_cast<std::int32_t>(rs1 << (rs2 & 31))));
-      break;
-    case Opcode::kSrlw:
-      rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
-          static_cast<std::int32_t>(static_cast<std::uint32_t>(rs1) >>
-                                    (rs2 & 31))));
-      break;
-    case Opcode::kSraw:
-      rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
-          static_cast<std::int32_t>(rs1) >> (rs2 & 31)));
-      break;
-    case Opcode::kMul:
-      cycles += config_.mul_cycles;
-      rd_value = rs1 * rs2;
-      break;
-    case Opcode::kMulw:
-      cycles += config_.mul_cycles;
-      rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
-          static_cast<std::int32_t>(rs1 * rs2)));
-      break;
-    case Opcode::kDiv: {
-      cycles += config_.div_cycles;
-      const auto a = static_cast<std::int64_t>(rs1);
-      const auto b = static_cast<std::int64_t>(rs2);
-      if (b == 0) {
-        rd_value = ~std::uint64_t{0};
-      } else if (a == INT64_MIN && b == -1) {
-        rd_value = rs1;
-      } else {
-        rd_value = static_cast<std::uint64_t>(a / b);
-      }
-      break;
-    }
-    case Opcode::kDivu:
-      cycles += config_.div_cycles;
-      rd_value = rs2 == 0 ? ~std::uint64_t{0} : rs1 / rs2;
-      break;
-    case Opcode::kRem: {
-      cycles += config_.div_cycles;
-      const auto a = static_cast<std::int64_t>(rs1);
-      const auto b = static_cast<std::int64_t>(rs2);
-      if (b == 0) {
-        rd_value = rs1;
-      } else if (a == INT64_MIN && b == -1) {
-        rd_value = 0;
-      } else {
-        rd_value = static_cast<std::uint64_t>(a % b);
-      }
-      break;
-    }
-    case Opcode::kRemu:
-      cycles += config_.div_cycles;
-      rd_value = rs2 == 0 ? rs1 : rs1 % rs2;
-      break;
-    case Opcode::kDivw: {
-      cycles += config_.div_cycles;
-      const auto a = static_cast<std::int32_t>(rs1);
-      const auto b = static_cast<std::int32_t>(rs2);
-      std::int32_t q;
-      if (b == 0) {
-        q = -1;
-      } else if (a == INT32_MIN && b == -1) {
-        q = a;
-      } else {
-        q = a / b;
-      }
-      rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(q));
-      break;
-    }
-    case Opcode::kRemw: {
-      cycles += config_.div_cycles;
-      const auto a = static_cast<std::int32_t>(rs1);
-      const auto b = static_cast<std::int32_t>(rs2);
-      std::int32_t r;
-      if (b == 0) {
-        r = a;
-      } else if (a == INT32_MIN && b == -1) {
-        r = 0;
-      } else {
-        r = a % b;
-      }
-      rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(r));
-      break;
-    }
-    case Opcode::kLui:
-      rd_value = static_cast<std::uint64_t>(inst.imm << 12);
-      break;
-    case Opcode::kAuipc:
-      rd_value = pc_ + static_cast<std::uint64_t>(inst.imm << 12);
-      break;
     case Opcode::kJal:
       rd_value = next_pc;
       new_pc = pc_ + static_cast<std::uint64_t>(inst.imm);
@@ -527,41 +554,15 @@ StepEvent Cpu::ExecuteDecodedImpl(const isa::Instruction& inst,
     case Opcode::kBlt:
     case Opcode::kBge:
     case Opcode::kBltu:
-    case Opcode::kBgeu: {
+    case Opcode::kBgeu:
       writes_rd = false;
       ++stats_.branches;
-      bool taken = false;
-      switch (inst.op) {
-        case Opcode::kBeq:
-          taken = rs1 == rs2;
-          break;
-        case Opcode::kBne:
-          taken = rs1 != rs2;
-          break;
-        case Opcode::kBlt:
-          taken = static_cast<std::int64_t>(rs1) <
-                  static_cast<std::int64_t>(rs2);
-          break;
-        case Opcode::kBge:
-          taken = static_cast<std::int64_t>(rs1) >=
-                  static_cast<std::int64_t>(rs2);
-          break;
-        case Opcode::kBltu:
-          taken = rs1 < rs2;
-          break;
-        case Opcode::kBgeu:
-          taken = rs1 >= rs2;
-          break;
-        default:
-          break;
-      }
-      if (taken) {
+      if (BranchTaken(inst.op, rs1, rs2)) {
         ++stats_.taken_branches;
         new_pc = pc_ + static_cast<std::uint64_t>(inst.imm);
         cycles += config_.taken_branch_cycles;
       }
       break;
-    }
     case Opcode::kLb:
     case Opcode::kLh:
     case Opcode::kLw:
@@ -580,12 +581,7 @@ StepEvent Cpu::ExecuteDecodedImpl(const isa::Instruction& inst,
       ++stats_.loads;
       if (isa::IsRoLoad(inst.op)) ++stats_.roload_loads;
       if (!MemAccess(inst, addr, /*write=*/false, &rd_value, &cycles)) {
-        stats_.cycles += cycles + 1;
-        if (profiling) {
-          trace_->profiler().EndStep(trace::CycleBucket::kTrap, step_pc,
-                                     cycles + 1);
-        }
-        return StepEvent::kTrap;
+        return trap();
       }
       break;
     }
@@ -598,12 +594,7 @@ StepEvent Cpu::ExecuteDecodedImpl(const isa::Instruction& inst,
       const std::uint64_t addr = rs1 + static_cast<std::uint64_t>(inst.imm);
       std::uint64_t value = rs2;
       if (!MemAccess(inst, addr, /*write=*/true, &value, &cycles)) {
-        stats_.cycles += cycles + 1;
-        if (profiling) {
-          trace_->profiler().EndStep(trace::CycleBucket::kTrap, step_pc,
-                                     cycles + 1);
-        }
-        return StepEvent::kTrap;
+        return trap();
       }
       break;
     }
@@ -618,24 +609,23 @@ StepEvent Cpu::ExecuteDecodedImpl(const isa::Instruction& inst,
       return StepEvent::kEcall;
     case Opcode::kEbreak:
       RaiseTrap(isa::TrapCause::kBreakpoint, pc_);
-      stats_.cycles += cycles + 1;
-      if (profiling) {
-        trace_->profiler().EndStep(trace::CycleBucket::kTrap, step_pc,
-                                   cycles + 1);
-      }
-      return StepEvent::kTrap;
+      return trap();
     case Opcode::kFence:
       writes_rd = false;
       break;
+    default: {  // every other opcode is an ALU op
+      const bool alu =
+          ExecuteAlu(inst, rs1, rs2, pc_, config_, &rd_value, &cycles);
+      ROLOAD_CHECK(alu);
+      break;
+    }
   }
 
   if (writes_rd && inst.rd != 0) regs_[inst.rd] = rd_value;
   pc_ = new_pc;
   stats_.cycles += cycles + 1;
   ++stats_.instructions;
-  // Lean mode is only entered with kInstruction events masked and the
-  // profiler off, so this whole tail is statically dead there.
-  if (!kLean && trace_ != nullptr) {
+  if (trace_ != nullptr) {
     if (profiling) {
       // A ld.ro's own execution cycles form the "roload_load" bucket —
       // the direct cost of the checked-load path (Fig 3/4 decomposition).
@@ -745,7 +735,7 @@ TranslatedBlock* Cpu::BuildBlock() {
   block->phys_page = entry->phys_page;
   block->itlb_entry = entry;
   std::uint64_t vpc = pc_;
-  while (block->ops.size() < config_.translate_max_ops) {
+  while (block->ops.size() < kMaxBlockOps) {
     if ((vpc >> mem::kPageShift) != block->vpn) break;  // page end
     const std::uint64_t phys =
         (block->phys_page << mem::kPageShift) | (vpc & (mem::kPageSize - 1));
@@ -780,35 +770,10 @@ TranslatedBlock* Cpu::BuildBlock() {
     op.pc = vpc;
     op.fetch_phys = phys;
     op.line_index = line_index;
-    op.is_store = IsStoreOp(decoded->op);
-    if (op.is_store) {
-      op.mem_bytes = static_cast<std::uint8_t>(isa::MemAccessBytes(decoded->op));
-    } else {
-      switch (decoded->op) {
-        case isa::Opcode::kLb:
-        case isa::Opcode::kLh:
-        case isa::Opcode::kLw:
-        case isa::Opcode::kLd:
-        case isa::Opcode::kLbu:
-        case isa::Opcode::kLhu:
-        case isa::Opcode::kLwu:
-          op.mem_bytes =
-              static_cast<std::uint8_t>(isa::MemAccessBytes(decoded->op));
-          op.load_unsigned = isa::LoadIsUnsigned(decoded->op);
-          break;
-        case isa::Opcode::kLbRo:
-        case isa::Opcode::kLhRo:
-        case isa::Opcode::kLwRo:
-        case isa::Opcode::kLdRo:
-        case isa::Opcode::kCLdRo:
-          op.mem_bytes =
-              static_cast<std::uint8_t>(isa::MemAccessBytes(decoded->op));
-          op.load_unsigned = isa::LoadIsUnsigned(decoded->op);
-          op.is_roload = true;
-          break;
-        default:
-          break;
-      }
+    if (isa::IsLoad(decoded->op) || isa::IsStore(decoded->op)) {
+      op.mem_bytes =
+          static_cast<std::uint8_t>(isa::MemAccessBytes(decoded->op));
+      op.load_unsigned = isa::LoadIsUnsigned(decoded->op);
     }
     block->ops.push_back(op);
     vpc += decoded->length;
@@ -880,30 +845,28 @@ bool Cpu::BlockGuardsPass(TranslatedBlock* block) {
 }
 
 // The threaded micro-op executor. Pre-decoded ops dispatch through one
-// compact switch whose hot cases (ALU, branches, plain loads/stores)
-// inline the exact computation ExecuteDecodedImpl performs for the same
-// opcode, with the per-op bookkeeping batched:
+// compact switch and run the interpreter's own semantics: ALU ops and
+// branch conditions through ExecuteAlu/BranchTaken, plain loads, ld.ro and
+// stores through one site-memoized form of MemAccess, everything else
+// through ExecuteDecoded. The per-op bookkeeping is batched:
 //
 //   * fetch side — every replayed op is one I-TLB hit plus one I-cache
 //     hit, and nothing inside the run touches either structure (data
 //     accesses go to the D-side, traps/ecalls end the run): stamp each
 //     line's final LRU tick in the loop, commit counts/hints once at the
 //     end;
-//   * retire side — each fast op costs (fetch_cycles + 1) cycles plus
+//   * retire side — each inline op costs (fetch_cycles + 1) cycles plus
 //     per-op extras (mul/div latency, taken branches, D-TLB walk and
 //     D-cache miss cycles) and retires one instruction; the sums land in
 //     stats_ at exit. Counter updates are pure +=, so batching commutes
 //     and the committed totals are bit-identical to per-op updates.
 //
-// pc_ is materialized lazily (fast ops never read it; kAuipc and branch
+// pc_ is materialized lazily (inline ops never read it; kAuipc and branch
 // targets use the pre-decoded op.pc) and synced before anything that
 // observes it: the generic-op fallback, trap delivery, and block exit.
-// Ops outside the fast set — ld.ro (key-check counters + roload_check
-// event stream), ecall/ebreak, and any future opcode — run through the
-// unmodified ExecuteDecodedImpl<true>, which does its own accounting.
-// Plain loads and stores use per-site inline caches (TranslatedOp memos)
-// validated against the live D-TLB entry / D-cache line before replaying
-// the exact reference hit mutations.
+// The generic fallback (ExecuteDecoded, which does its own accounting)
+// takes ecall/ebreak, any opcode without an inline case, and ld.ro while
+// the kRoLoad event category is live.
 StepEvent Cpu::ExecuteBlock(TranslatedBlock* block, std::uint64_t target) {
   TranslatedOp* ops = block->ops.data();  // non-const: per-site memo re-arming
   const LineGuard* lines = block->lines.data();
@@ -915,7 +878,7 @@ StepEvent Cpu::ExecuteBlock(TranslatedBlock* block, std::uint64_t target) {
   const std::size_t limit =
       remaining < count ? static_cast<std::size_t>(remaining) : count;
 
-  std::uint64_t fast_ops = 0;      // ops retired by the fast cases below
+  std::uint64_t fast_ops = 0;      // ops retired by the inline cases below
   std::uint64_t extra_cycles = 0;  // their cycles beyond (fetch_cycles + 1)
   std::size_t done = 0;            // ops whose fetch replayed (incl. traps)
   std::uint64_t next_pc = pc_;     // architectural pc after the last op
@@ -926,7 +889,6 @@ StepEvent Cpu::ExecuteBlock(TranslatedBlock* block, std::uint64_t target) {
   // reload. All are loop-invariant (no op mutates them; a store that
   // remaps pages can only do so via a trap, which exits the run).
   const std::uint64_t root = root_ppn_;
-  const bool unchecked_mem = config_.host_unchecked_mem;
   mem::PhysMemory* const memory = memory_;
   CodeVersionTable* const code_table = code_table_ptr_;
   // ld.ro with the kRoLoad event category live must emit one kRoLoadCheck
@@ -957,11 +919,14 @@ StepEvent Cpu::ExecuteBlock(TranslatedBlock* block, std::uint64_t target) {
       dc_pending = 0;
     }
   };
-  auto rearm_bases = [&] {
-    dtlb_base = dtlb_.replay_base();
-    dc_base = dcache_.replay_base();
-  };
 
+  auto count_trap_exit = [&] {
+    if (pending_trap_.cause == isa::TrapCause::kRoLoadPageFault) {
+      ++translator_->stats().roload_fault_exits;
+    } else {
+      ++translator_->stats().trap_exits;
+    }
+  };
   // Trap from an inline memory op: the op's fetch replayed and its cycles
   // are charged, but it does not retire and pc stays at the faulting
   // instruction — exactly the reference MemAccess-failure path.
@@ -972,11 +937,151 @@ StepEvent Cpu::ExecuteBlock(TranslatedBlock* block, std::uint64_t target) {
     done = idx + 1;
     next_pc = ops[idx].pc;
     result = StepEvent::kTrap;
-    if (cause == isa::TrapCause::kRoLoadPageFault) {
-      ++translator_->stats().roload_fault_exits;
-    } else {
-      ++translator_->stats().trap_exits;
+    count_trap_exit();
+  };
+
+  // Generic micro-op: the reference executor, which needs pc_ live and the
+  // pending D-side batches flushed. False ends the run: a trap or ecall
+  // (the op and its fetch happened), or a retired op whose successor is
+  // not the next op of the superblock. Forced inline (as is mem_op): an
+  // out-of-line call would take the address of every local it captures
+  // and keep the hot loop's counters in memory.
+  auto generic_op = [&](std::size_t i) __attribute__((always_inline))
+                        -> bool {
+    flush_mem();
+    pc_ = ops[i].pc;
+    const StepEvent event = ExecuteDecoded(ops[i].inst, fetch_cycles);
+    // Its data access moved the shared ticks.
+    dtlb_base = dtlb_.replay_base();
+    dc_base = dcache_.replay_base();
+    if (event == StepEvent::kRetired &&
+        (i + 1 == count || pc_ == ops[i + 1].pc)) {
+      return true;
     }
+    if (event == StepEvent::kTrap) count_trap_exit();
+    result = event;
+    done = i + 1;
+    next_pc = pc_;
+    return false;
+  };
+
+  // One site-memoized memory micro-op: MemAccess for access type A, with
+  // the op's last D-TLB entry and D-cache line as inline caches. A memo is
+  // re-proven against the current access before its hit is replayed (tag
+  // and permission bits — side-effect-free reads, so checking them up
+  // front commutes with the reference order); otherwise the generic
+  // lookup runs and re-arms it. False ends the run: a trap, or a store
+  // into this block's own code page.
+  auto mem_op = [&]<tlb::AccessType A>(std::size_t i, std::uint64_t rs1,
+                                       std::uint64_t rs2)
+                    __attribute__((always_inline)) -> bool {
+    constexpr bool kStore = A == tlb::AccessType::kStore;
+    constexpr bool kRoLoad = A == tlb::AccessType::kRoLoad;
+    if constexpr (kRoLoad) {
+      if (ro_generic) return generic_op(i);
+    }
+    TranslatedOp& op = ops[i];
+    const isa::Instruction& inst = op.inst;
+    // ROLoad-family addresses are (rs1) with no offset; inst.imm is 0 for
+    // them by decode construction, so the same expression serves all.
+    const std::uint64_t addr = rs1 + static_cast<std::uint64_t>(inst.imm);
+    if constexpr (kStore) {
+      ++stats_.stores;
+    } else {
+      ++stats_.loads;
+      if constexpr (kRoLoad) ++stats_.roload_loads;
+    }
+    unsigned mem_cycles = 0;  // D-TLB walk + D-cache cycles beyond fetch
+    const unsigned bytes = op.mem_bytes;
+    if ((addr & (bytes - 1)) != 0) {
+      trap_exit(i,
+                kStore ? isa::TrapCause::kStoreAddressMisaligned
+                       : isa::TrapCause::kLoadAddressMisaligned,
+                addr, fetch_cycles);
+      return false;
+    }
+    std::uint64_t phys;
+    tlb::Tlb::Entry* te = op.dtlb_memo;
+    // ld.ro's memo has no up-front permission test: its key-checked
+    // datapath runs *after* the hit stamp (reference order) and exactly
+    // once per executed site — it mutates the key-check census.
+    if (te != nullptr && te->valid &&
+        te->vpn == (addr >> mem::kPageShift) && te->asid_root == root &&
+        (kRoLoad ||
+         ((kStore ? te->pte.writable() : te->pte.readable()) &&
+          te->pte.user()))) {
+      dtlb_.ReplaySiteHitAt<A>(te, dtlb_base + ++dtlb_pending);
+      if constexpr (kRoLoad) {
+        tlb::RoLoadFailKind fail_kind = tlb::RoLoadFailKind::kNone;
+        if (auto cause =
+                dtlb_.RoSitePermissions(te->pte, inst.key, &fail_kind)) {
+          // EmitRoLoadFault is structurally disabled here (ro_generic
+          // tested the same predicate above), so skipping it is exact;
+          // the trap itself is the reference failure path.
+          trap_exit(i, *cause, addr, fetch_cycles);
+          return false;
+        }
+      }
+      phys = (te->phys_page << mem::kPageShift) +
+             (addr & (mem::kPageSize - 1));
+    } else {
+      flush_mem();
+      ++translator_->stats().dtlb_memo_misses;
+      const auto xlat = dtlb_.TranslateFor<A>(root, addr, inst.key);
+      op.dtlb_memo = dtlb_.site_hint(A);
+      dtlb_base = dtlb_.replay_base();
+      mem_cycles += xlat.cycles;
+      if (!xlat.ok) {
+        trap_exit(i, xlat.cause, addr, fetch_cycles + mem_cycles);
+        return false;
+      }
+      phys = xlat.phys_addr;
+    }
+    if (!memory->Contains(phys, bytes)) {
+      trap_exit(i,
+                kStore ? isa::TrapCause::kStoreAccessFault
+                       : isa::TrapCause::kLoadAccessFault,
+                addr, fetch_cycles + mem_cycles);
+      return false;
+    }
+    const std::uint64_t line_addr = dcache_.LineAddrOf(phys);
+    cache::Cache::Line* dl = op.dline_memo;
+    if (dl != nullptr && line_addr == op.dline_addr && dl->valid &&
+        dl->tag == op.dline_tag) {
+      mem_cycles += dcache_.ReplayDataHitAt(dl, line_addr, kStore,
+                                            dc_base + ++dc_pending);
+    } else {
+      flush_mem();
+      ++translator_->stats().dcache_memo_misses;
+      mem_cycles += dcache_.Access(phys, kStore);
+      op.dline_memo = dcache_.site_hint();
+      op.dline_addr = line_addr;
+      op.dline_tag = dcache_.TagOf(phys);
+      dc_base = dcache_.replay_base();
+    }
+    ++fast_ops;
+    extra_cycles += mem_cycles;
+    if constexpr (kStore) {
+      memory->WriteUnchecked(phys, bytes, rs2);
+      code_table->OnWrite(phys);
+      if (code_table->Version(block->phys_page) != block->code_version) {
+        // The block stored into its own code page: everything executed
+        // so far is exact, but the remaining decodes are stale. Stop at
+        // this boundary; the next entry attempt rebuilds fresh.
+        translator_->Retire(block);
+        ++translator_->stats().smc_exits;
+        done = i + 1;
+        next_pc = op.pc + inst.length;
+        return false;
+      }
+    } else {
+      std::uint64_t raw = memory->ReadUnchecked(phys, bytes);
+      if (!op.load_unsigned && bytes < 8) {
+        raw = static_cast<std::uint64_t>(SignExtend(raw, bytes * 8));
+      }
+      if (inst.rd != 0) regs_[inst.rd] = raw;
+    }
+    return true;
   };
 
   for (std::size_t i = 0; i < limit; ++i) {
@@ -985,189 +1090,8 @@ StepEvent Cpu::ExecuteBlock(TranslatedBlock* block, std::uint64_t target) {
     const isa::Instruction& inst = op.inst;
     const std::uint64_t rs1 = regs_[inst.rs1];
     const std::uint64_t rs2 = regs_[inst.rs2];
-    std::uint64_t rd_value = 0;
     using isa::Opcode;
     switch (inst.op) {
-      case Opcode::kAddi:
-        rd_value = rs1 + static_cast<std::uint64_t>(inst.imm);
-        break;
-      case Opcode::kSlti:
-        rd_value = static_cast<std::int64_t>(rs1) < inst.imm ? 1 : 0;
-        break;
-      case Opcode::kSltiu:
-        rd_value = rs1 < static_cast<std::uint64_t>(inst.imm) ? 1 : 0;
-        break;
-      case Opcode::kXori:
-        rd_value = rs1 ^ static_cast<std::uint64_t>(inst.imm);
-        break;
-      case Opcode::kOri:
-        rd_value = rs1 | static_cast<std::uint64_t>(inst.imm);
-        break;
-      case Opcode::kAndi:
-        rd_value = rs1 & static_cast<std::uint64_t>(inst.imm);
-        break;
-      case Opcode::kSlli:
-        rd_value = rs1 << (inst.imm & 63);
-        break;
-      case Opcode::kSrli:
-        rd_value = rs1 >> (inst.imm & 63);
-        break;
-      case Opcode::kSrai:
-        rd_value = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(rs1) >> (inst.imm & 63));
-        break;
-      case Opcode::kAddiw:
-        rd_value = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(static_cast<std::int32_t>(
-                rs1 + static_cast<std::uint64_t>(inst.imm))));
-        break;
-      case Opcode::kSlliw:
-        rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
-            static_cast<std::int32_t>(rs1 << (inst.imm & 31))));
-        break;
-      case Opcode::kSrliw:
-        rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
-            static_cast<std::int32_t>(static_cast<std::uint32_t>(rs1) >>
-                                      (inst.imm & 31))));
-        break;
-      case Opcode::kSraiw:
-        rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
-            static_cast<std::int32_t>(rs1) >> (inst.imm & 31)));
-        break;
-      case Opcode::kAdd:
-        rd_value = rs1 + rs2;
-        break;
-      case Opcode::kSub:
-        rd_value = rs1 - rs2;
-        break;
-      case Opcode::kSll:
-        rd_value = rs1 << (rs2 & 63);
-        break;
-      case Opcode::kSlt:
-        rd_value =
-            static_cast<std::int64_t>(rs1) < static_cast<std::int64_t>(rs2)
-                ? 1
-                : 0;
-        break;
-      case Opcode::kSltu:
-        rd_value = rs1 < rs2 ? 1 : 0;
-        break;
-      case Opcode::kXor:
-        rd_value = rs1 ^ rs2;
-        break;
-      case Opcode::kSrl:
-        rd_value = rs1 >> (rs2 & 63);
-        break;
-      case Opcode::kSra:
-        rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(rs1) >>
-                                              (rs2 & 63));
-        break;
-      case Opcode::kOr:
-        rd_value = rs1 | rs2;
-        break;
-      case Opcode::kAnd:
-        rd_value = rs1 & rs2;
-        break;
-      case Opcode::kAddw:
-        rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
-            static_cast<std::int32_t>(rs1 + rs2)));
-        break;
-      case Opcode::kSubw:
-        rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
-            static_cast<std::int32_t>(rs1 - rs2)));
-        break;
-      case Opcode::kSllw:
-        rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
-            static_cast<std::int32_t>(rs1 << (rs2 & 31))));
-        break;
-      case Opcode::kSrlw:
-        rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
-            static_cast<std::int32_t>(static_cast<std::uint32_t>(rs1) >>
-                                      (rs2 & 31))));
-        break;
-      case Opcode::kSraw:
-        rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
-            static_cast<std::int32_t>(rs1) >> (rs2 & 31)));
-        break;
-      case Opcode::kMul:
-        extra_cycles += config_.mul_cycles;
-        rd_value = rs1 * rs2;
-        break;
-      case Opcode::kMulw:
-        extra_cycles += config_.mul_cycles;
-        rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(
-            static_cast<std::int32_t>(rs1 * rs2)));
-        break;
-      case Opcode::kDiv: {
-        extra_cycles += config_.div_cycles;
-        const auto a = static_cast<std::int64_t>(rs1);
-        const auto b = static_cast<std::int64_t>(rs2);
-        if (b == 0) {
-          rd_value = ~std::uint64_t{0};
-        } else if (a == INT64_MIN && b == -1) {
-          rd_value = rs1;
-        } else {
-          rd_value = static_cast<std::uint64_t>(a / b);
-        }
-        break;
-      }
-      case Opcode::kDivu:
-        extra_cycles += config_.div_cycles;
-        rd_value = rs2 == 0 ? ~std::uint64_t{0} : rs1 / rs2;
-        break;
-      case Opcode::kRem: {
-        extra_cycles += config_.div_cycles;
-        const auto a = static_cast<std::int64_t>(rs1);
-        const auto b = static_cast<std::int64_t>(rs2);
-        if (b == 0) {
-          rd_value = rs1;
-        } else if (a == INT64_MIN && b == -1) {
-          rd_value = 0;
-        } else {
-          rd_value = static_cast<std::uint64_t>(a % b);
-        }
-        break;
-      }
-      case Opcode::kRemu:
-        extra_cycles += config_.div_cycles;
-        rd_value = rs2 == 0 ? rs1 : rs1 % rs2;
-        break;
-      case Opcode::kDivw: {
-        extra_cycles += config_.div_cycles;
-        const auto a = static_cast<std::int32_t>(rs1);
-        const auto b = static_cast<std::int32_t>(rs2);
-        std::int32_t q;
-        if (b == 0) {
-          q = -1;
-        } else if (a == INT32_MIN && b == -1) {
-          q = a;
-        } else {
-          q = a / b;
-        }
-        rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(q));
-        break;
-      }
-      case Opcode::kRemw: {
-        extra_cycles += config_.div_cycles;
-        const auto a = static_cast<std::int32_t>(rs1);
-        const auto b = static_cast<std::int32_t>(rs2);
-        std::int32_t r;
-        if (b == 0) {
-          r = a;
-        } else if (a == INT32_MIN && b == -1) {
-          r = 0;
-        } else {
-          r = a % b;
-        }
-        rd_value = static_cast<std::uint64_t>(static_cast<std::int64_t>(r));
-        break;
-      }
-      case Opcode::kLui:
-        rd_value = static_cast<std::uint64_t>(inst.imm << 12);
-        break;
-      case Opcode::kAuipc:
-        rd_value = op.pc + static_cast<std::uint64_t>(inst.imm << 12);
-        break;
       case Opcode::kBeq:
       case Opcode::kBne:
       case Opcode::kBlt:
@@ -1175,33 +1099,8 @@ StepEvent Cpu::ExecuteBlock(TranslatedBlock* block, std::uint64_t target) {
       case Opcode::kBltu:
       case Opcode::kBgeu: {
         ++stats_.branches;
-        bool taken = false;
-        switch (inst.op) {
-          case Opcode::kBeq:
-            taken = rs1 == rs2;
-            break;
-          case Opcode::kBne:
-            taken = rs1 != rs2;
-            break;
-          case Opcode::kBlt:
-            taken = static_cast<std::int64_t>(rs1) <
-                    static_cast<std::int64_t>(rs2);
-            break;
-          case Opcode::kBge:
-            taken = static_cast<std::int64_t>(rs1) >=
-                    static_cast<std::int64_t>(rs2);
-            break;
-          case Opcode::kBltu:
-            taken = rs1 < rs2;
-            break;
-          case Opcode::kBgeu:
-            taken = rs1 >= rs2;
-            break;
-          default:
-            break;
-        }
         std::uint64_t branch_pc = op.pc + inst.length;
-        if (taken) {
+        if (BranchTaken(inst.op, rs1, rs2)) {
           ++stats_.taken_branches;
           extra_cycles += config_.taken_branch_cycles;
           branch_pc = op.pc + static_cast<std::uint64_t>(inst.imm);
@@ -1240,273 +1139,47 @@ StepEvent Cpu::ExecuteBlock(TranslatedBlock* block, std::uint64_t target) {
       case Opcode::kLd:
       case Opcode::kLbu:
       case Opcode::kLhu:
-      case Opcode::kLwu: {
-        const std::uint64_t addr = rs1 + static_cast<std::uint64_t>(inst.imm);
-        ++stats_.loads;
-        unsigned mem_cycles = 0;  // D-TLB walk + D-cache cycles beyond fetch
-        const unsigned bytes = op.mem_bytes;
-        if ((addr & (bytes - 1)) != 0) {
-          trap_exit(i, isa::TrapCause::kLoadAddressMisaligned, addr,
-                    fetch_cycles);
+      case Opcode::kLwu:
+        if (!mem_op.template operator()<tlb::AccessType::kLoad>(i, rs1, rs2)) {
           goto exit;
         }
-        // Site-cached translation: re-prove the memoized entry (tag and
-        // permission bits — side-effect-free reads, so checking them up
-        // front commutes with the reference order) and replay the hit;
-        // otherwise run the generic lookup and re-arm the memo.
-        std::uint64_t phys;
-        tlb::Tlb::Entry* te = op.dtlb_memo;
-        if (te != nullptr && te->valid &&
-            te->vpn == (addr >> mem::kPageShift) && te->asid_root == root &&
-            te->pte.readable() && te->pte.user()) {
-          dtlb_.ReplaySiteHitAt<tlb::AccessType::kLoad>(
-              te, dtlb_base + ++dtlb_pending);
-          phys = (te->phys_page << mem::kPageShift) +
-                 (addr & (mem::kPageSize - 1));
-        } else {
-          flush_mem();
-          ++translator_->stats().dtlb_memo_misses;
-          const auto xlat = dtlb_.TranslateFor<tlb::AccessType::kLoad>(
-              root, addr, inst.key);
-          op.dtlb_memo = dtlb_.site_hint(tlb::AccessType::kLoad);
-          dtlb_base = dtlb_.replay_base();
-          mem_cycles += xlat.cycles;
-          if (!xlat.ok) {
-            trap_exit(i, xlat.cause, addr, fetch_cycles + mem_cycles);
-            goto exit;
-          }
-          phys = xlat.phys_addr;
-        }
-        if (!memory->Contains(phys, bytes)) {
-          trap_exit(i, isa::TrapCause::kLoadAccessFault, addr,
-                    fetch_cycles + mem_cycles);
-          goto exit;
-        }
-        const std::uint64_t line_addr = dcache_.LineAddrOf(phys);
-        cache::Cache::Line* dl = op.dline_memo;
-        if (dl != nullptr && line_addr == op.dline_addr && dl->valid &&
-            dl->tag == op.dline_tag) {
-          mem_cycles += dcache_.ReplayDataHitAt(dl, line_addr,
-                                                /*write=*/false,
-                                                dc_base + ++dc_pending);
-        } else {
-          flush_mem();
-          ++translator_->stats().dcache_memo_misses;
-          mem_cycles += dcache_.Access(phys, /*write=*/false);
-          op.dline_memo = dcache_.site_hint();
-          op.dline_addr = line_addr;
-          op.dline_tag = dcache_.TagOf(phys);
-          dc_base = dcache_.replay_base();
-        }
-        std::uint64_t raw = unchecked_mem
-                                ? memory->ReadUncheckedWidth(phys, bytes)
-                                : memory->Read(phys, bytes);
-        if (!op.load_unsigned && bytes < 8) {
-          raw = static_cast<std::uint64_t>(SignExtend(raw, bytes * 8));
-        }
-        if (inst.rd != 0) regs_[inst.rd] = raw;
-        ++fast_ops;
-        extra_cycles += mem_cycles;
         continue;
-      }
       case Opcode::kLbRo:
       case Opcode::kLhRo:
       case Opcode::kLwRo:
       case Opcode::kLdRo:
-      case Opcode::kCLdRo: {
-        if (ro_generic) {
-          goto generic_op;  // event stream live: reference path emits it
-        }
-        // ROLoad-family addresses are (rs1) with no offset; inst.imm is 0
-        // by decode construction. The key-checked permission datapath
-        // runs *after* the hit stamp (reference order) and exactly once
-        // per executed site — it mutates the key-check census.
-        const std::uint64_t addr = rs1 + static_cast<std::uint64_t>(inst.imm);
-        ++stats_.loads;
-        ++stats_.roload_loads;
-        unsigned mem_cycles = 0;
-        const unsigned bytes = op.mem_bytes;
-        if ((addr & (bytes - 1)) != 0) {
-          trap_exit(i, isa::TrapCause::kLoadAddressMisaligned, addr,
-                    fetch_cycles);
+      case Opcode::kCLdRo:
+        if (!mem_op.template operator()<tlb::AccessType::kRoLoad>(i, rs1,
+                                                                  rs2)) {
           goto exit;
         }
-        std::uint64_t phys;
-        tlb::Tlb::Entry* te = op.dtlb_memo;
-        if (te != nullptr && te->valid &&
-            te->vpn == (addr >> mem::kPageShift) && te->asid_root == root) {
-          dtlb_.ReplaySiteHitAt<tlb::AccessType::kRoLoad>(
-              te, dtlb_base + ++dtlb_pending);
-          tlb::RoLoadFailKind fail_kind = tlb::RoLoadFailKind::kNone;
-          if (auto cause =
-                  dtlb_.RoSitePermissions(te->pte, inst.key, &fail_kind)) {
-            // EmitRoLoadFault is structurally disabled here (ro_generic
-            // tested the same predicate above), so skipping it is exact;
-            // the trap itself is the reference failure path.
-            trap_exit(i, *cause, addr, fetch_cycles);
-            goto exit;
-          }
-          phys = (te->phys_page << mem::kPageShift) +
-                 (addr & (mem::kPageSize - 1));
-        } else {
-          flush_mem();
-          ++translator_->stats().dtlb_memo_misses;
-          const auto xlat = dtlb_.TranslateFor<tlb::AccessType::kRoLoad>(
-              root, addr, inst.key);
-          op.dtlb_memo = dtlb_.site_hint(tlb::AccessType::kRoLoad);
-          dtlb_base = dtlb_.replay_base();
-          mem_cycles += xlat.cycles;
-          if (!xlat.ok) {
-            trap_exit(i, xlat.cause, addr, fetch_cycles + mem_cycles);
-            goto exit;
-          }
-          phys = xlat.phys_addr;
-        }
-        if (!memory->Contains(phys, bytes)) {
-          trap_exit(i, isa::TrapCause::kLoadAccessFault, addr,
-                    fetch_cycles + mem_cycles);
-          goto exit;
-        }
-        const std::uint64_t line_addr = dcache_.LineAddrOf(phys);
-        cache::Cache::Line* dl = op.dline_memo;
-        if (dl != nullptr && line_addr == op.dline_addr && dl->valid &&
-            dl->tag == op.dline_tag) {
-          mem_cycles += dcache_.ReplayDataHitAt(dl, line_addr,
-                                                /*write=*/false,
-                                                dc_base + ++dc_pending);
-        } else {
-          flush_mem();
-          ++translator_->stats().dcache_memo_misses;
-          mem_cycles += dcache_.Access(phys, /*write=*/false);
-          op.dline_memo = dcache_.site_hint();
-          op.dline_addr = line_addr;
-          op.dline_tag = dcache_.TagOf(phys);
-          dc_base = dcache_.replay_base();
-        }
-        std::uint64_t raw = unchecked_mem
-                                ? memory->ReadUncheckedWidth(phys, bytes)
-                                : memory->Read(phys, bytes);
-        if (!op.load_unsigned && bytes < 8) {
-          raw = static_cast<std::uint64_t>(SignExtend(raw, bytes * 8));
-        }
-        if (inst.rd != 0) regs_[inst.rd] = raw;
-        ++fast_ops;
-        extra_cycles += mem_cycles;
         continue;
-      }
       case Opcode::kSb:
       case Opcode::kSh:
       case Opcode::kSw:
-      case Opcode::kSd: {
-        const std::uint64_t addr = rs1 + static_cast<std::uint64_t>(inst.imm);
-        ++stats_.stores;
-        unsigned mem_cycles = 0;  // D-TLB walk + D-cache cycles beyond fetch
-        const unsigned bytes = op.mem_bytes;
-        if ((addr & (bytes - 1)) != 0) {
-          trap_exit(i, isa::TrapCause::kStoreAddressMisaligned, addr,
-                    fetch_cycles);
-          goto exit;
-        }
-        std::uint64_t phys;
-        tlb::Tlb::Entry* te = op.dtlb_memo;
-        if (te != nullptr && te->valid &&
-            te->vpn == (addr >> mem::kPageShift) && te->asid_root == root &&
-            te->pte.writable() && te->pte.user()) {
-          dtlb_.ReplaySiteHitAt<tlb::AccessType::kStore>(
-              te, dtlb_base + ++dtlb_pending);
-          phys = (te->phys_page << mem::kPageShift) +
-                 (addr & (mem::kPageSize - 1));
-        } else {
-          flush_mem();
-          ++translator_->stats().dtlb_memo_misses;
-          const auto xlat = dtlb_.TranslateFor<tlb::AccessType::kStore>(
-              root, addr, inst.key);
-          op.dtlb_memo = dtlb_.site_hint(tlb::AccessType::kStore);
-          dtlb_base = dtlb_.replay_base();
-          mem_cycles += xlat.cycles;
-          if (!xlat.ok) {
-            trap_exit(i, xlat.cause, addr, fetch_cycles + mem_cycles);
-            goto exit;
-          }
-          phys = xlat.phys_addr;
-        }
-        if (!memory->Contains(phys, bytes)) {
-          trap_exit(i, isa::TrapCause::kStoreAccessFault, addr,
-                    fetch_cycles + mem_cycles);
-          goto exit;
-        }
-        const std::uint64_t line_addr = dcache_.LineAddrOf(phys);
-        cache::Cache::Line* dl = op.dline_memo;
-        if (dl != nullptr && line_addr == op.dline_addr && dl->valid &&
-            dl->tag == op.dline_tag) {
-          mem_cycles += dcache_.ReplayDataHitAt(dl, line_addr,
-                                                /*write=*/true,
-                                                dc_base + ++dc_pending);
-        } else {
-          flush_mem();
-          ++translator_->stats().dcache_memo_misses;
-          mem_cycles += dcache_.Access(phys, /*write=*/true);
-          op.dline_memo = dcache_.site_hint();
-          op.dline_addr = line_addr;
-          op.dline_tag = dcache_.TagOf(phys);
-          dc_base = dcache_.replay_base();
-        }
-        if (unchecked_mem) {
-          memory->WriteUncheckedWidth(phys, bytes, rs2);
-        } else {
-          memory->Write(phys, bytes, rs2);
-        }
-        code_table->OnWrite(phys);
-        ++fast_ops;
-        extra_cycles += mem_cycles;
-        if (code_table->Version(block->phys_page) != block->code_version) {
-          // The block stored into its own code page: everything executed
-          // so far is exact, but the remaining decodes are stale. Stop at
-          // this boundary; the next entry attempt rebuilds fresh.
-          translator_->Retire(block);
-          ++translator_->stats().smc_exits;
-          done = i + 1;
-          next_pc = op.pc + inst.length;
+      case Opcode::kSd:
+        if (!mem_op.template operator()<tlb::AccessType::kStore>(i, rs1,
+                                                                 rs2)) {
           goto exit;
         }
         continue;
-      }
       case Opcode::kFence:
         ++fast_ops;
         continue;
-      default:
-      generic_op: {
-        // Generic micro-op (ecall/ebreak, ld.ro with the event stream
-        // live): run the reference executor, which needs pc_ live, the
-        // pending D-side batches flushed, and accounts for itself.
-        flush_mem();
-        pc_ = op.pc;
-        const StepEvent event = ExecuteDecodedImpl<true>(inst, fetch_cycles);
-        rearm_bases();  // its data access moved the shared ticks
-        if (event != StepEvent::kRetired) {
-          if (event == StepEvent::kTrap) {
-            if (pending_trap_.cause == isa::TrapCause::kRoLoadPageFault) {
-              ++translator_->stats().roload_fault_exits;
-            } else {
-              ++translator_->stats().trap_exits;
-            }
-          }
-          result = event;  // trap or ecall: the op (and its fetch) happened
-          done = i + 1;
-          next_pc = pc_;
-          goto exit;
+      default: {
+        std::uint64_t rd_value;
+        unsigned alu_cycles = 0;
+        if (ExecuteAlu(inst, rs1, rs2, op.pc, config_, &rd_value,
+                       &alu_cycles)) {
+          if (inst.rd != 0) regs_[inst.rd] = rd_value;
+          extra_cycles += alu_cycles;
+          ++fast_ops;
+          continue;
         }
-        if (i + 1 < count && pc_ != ops[i + 1].pc) {
-          done = i + 1;
-          next_pc = pc_;
-          goto exit;
-        }
+        if (!generic_op(i)) goto exit;
         continue;
       }
     }
-    // Shared ALU retire tail (cases that `break` out of the switch).
-    if (inst.rd != 0) regs_[inst.rd] = rd_value;
-    ++fast_ops;
   }
   // Loop exhausted (block end or budget): every `continue` path above left
   // the architectural pc at the straight-line successor of the op it

@@ -41,11 +41,6 @@ struct CpuConfig {
   // computation is reused). FlushTlbs() invalidates it alongside the TLBs;
   // self-modified code is additionally caught by the raw-bit check.
   bool host_decode_cache = true;
-  // Host-only: fetch/load/store guest bytes through PhysMemory's inline
-  // unchecked accessors instead of the checked out-of-line ones. Every such
-  // access sits behind the Contains() test that the checked accessor would
-  // merely repeat, so the values (and everything downstream) are identical.
-  bool host_unchecked_mem = true;
   // Host-only translation tier (src/cpu/translate.h): pre-decode hot
   // superblocks into replayable micro-op form and execute them under
   // TLB/I-cache/code-version guards, deopting to the interpreter on any
@@ -61,10 +56,6 @@ struct CpuConfig {
   // anything re-entered amortizes immediately), while higher thresholds
   // leave warm code (executed a handful of times) interpreting forever.
   unsigned translate_threshold = 2;
-  // Superblock op cap and total live-block cap (reaching the block cap
-  // frees every block and starts over — a simple, safe flush policy).
-  unsigned translate_max_ops = 64;
-  unsigned translate_max_blocks = 4096;
   // Host-only per-superblock telemetry (src/trace/jitstats.h): keep one
   // build/entry/replay record per (root, head_pc) in the translator,
   // feeding the roload.jit.v1 report's block rows and hot/cold census.
@@ -75,10 +66,10 @@ struct CpuConfig {
 };
 
 // The three execute tiers, in increasing host speed: the reference
-// interpreter (every host fast path off), the PR 2 fast paths (decode
-// cache, indexed TLB, inline memory — the default), and the translation
-// tier on top of the fast paths. All three are bit-identical in cycles
-// and every architectural counter; only host speed differs.
+// interpreter (every host fast path off), the host fast paths (decode
+// cache, indexed TLB lookup, cache index math — the default), and the
+// translation tier on top of the fast paths. All three are bit-identical
+// in cycles and every architectural counter; only host speed differs.
 enum class ExecTier : std::uint8_t {
   kInterp,
   kFast,
@@ -249,17 +240,11 @@ class Cpu {
   bool MemAccess(const isa::Instruction& inst, std::uint64_t virt_addr,
                  bool write, std::uint64_t* value, unsigned* cycles);
   // The execute half of Step(): everything after fetch+decode, starting
-  // from `cycles` already charged by the fetch. Shared verbatim between
-  // Step() and the block executor, which is what makes the translated
-  // tier's semantics the interpreter's semantics by construction.
-  //
-  // kLean compiles out the profiler charges and the per-retire event
-  // emission. It is only ever instantiated by the block executor, which
-  // runs strictly under TranslationTransparent() — i.e. when profiling is
-  // off and kInstruction events are masked — so the stripped code is code
-  // that could not have executed anyway; simulated state is untouched.
-  template <bool kLean>
-  StepEvent ExecuteDecodedImpl(const isa::Instruction& inst, unsigned cycles);
+  // from `cycles` already charged by the fetch. Its ALU and branch
+  // conditions are the ExecuteAlu/BranchTaken helpers in cpu.cpp, which
+  // the block executor calls too; the block executor also runs this whole
+  // body for the ops it does not inline (ecall, ebreak, and ld.ro while
+  // the roload event stream is live).
   StepEvent ExecuteDecoded(const isa::Instruction& inst, unsigned cycles);
 
   // Translation tier (all no-ops unless config_.host_translate).
@@ -276,6 +261,9 @@ class Cpu {
   bool BlockGuardsPass(TranslatedBlock* block);
   // Replays a guard-proven block until block end, divergence, trap,
   // ecall, self-modifying store, or `target` total retired instructions.
+  // ALU ops and branch conditions run the interpreter's helpers; loads,
+  // ld.ro and stores run one site-memoized form of MemAccess; everything
+  // else runs ExecuteDecoded.
   StepEvent ExecuteBlock(TranslatedBlock* block, std::uint64_t target);
 
   void RaiseTrap(isa::TrapCause cause, std::uint64_t tval);

@@ -18,10 +18,12 @@
 // interpreter's all-hit fetch path performs (one I-TLB hit + one I-cache
 // hit per instruction, batched per block run — see Tlb::ReplayFetchHits
 // and the Cache replay-batch API) and then executes the pre-decoded
-// instruction through the same ExecuteDecoded body Step() uses. Data-side accesses, traps, the ld.ro
-// key check and the roload_check event stream all go through the
-// unmodified MemAccess path, so cycles and every counter are bit-identical
-// to the reference interpreter by construction. Any guard miss deopts to
+// instruction with the interpreter's own code: ALU ops and branch
+// conditions through the helpers Step() uses, loads, ld.ro and stores
+// through a site-memoized form of MemAccess (a D-TLB/D-cache hit is
+// replayed only after it is re-proven, a miss runs the real lookup, and
+// every ld.ro runs the TLB's own key-check datapath), and every other op
+// through ExecuteDecoded itself. Any guard miss deopts to
 // Step() for at least one instruction (performing the *real* miss with its
 // real cost) and retries, so misses are never approximated.
 #pragma once
@@ -41,6 +43,11 @@
 #include "trace/jitstats.h"
 
 namespace roload::cpu {
+
+// Superblock op cap, and the live-block cap of one translator (reaching it
+// frees every block and starts over — a simple, safe flush policy).
+inline constexpr unsigned kMaxBlockOps = 64;
+inline constexpr unsigned kMaxLiveBlocks = 4096;
 
 // Per-physical-page code version table: the write barrier that catches
 // self-modifying (and, in SMP, cross-hart) code writes. Pages are marked
@@ -100,14 +107,11 @@ struct TranslatedOp {
   std::uint64_t pc = 0;          // virtual pc of this op
   std::uint64_t fetch_phys = 0;  // physical address of the first parcel
   std::uint32_t line_index = 0;  // index into TranslatedBlock::lines
-  bool is_store = false;         // run the mid-block SMC version check after
   // Pre-resolved micro-op facts for the block executor's inline memory
-  // path (isa::MemAccessBytes / isa::LoadIsUnsigned / isa::IsRoLoad
-  // evaluated once at build time instead of per execution). Zero for
-  // non-memory ops.
+  // path (isa::MemAccessBytes / isa::LoadIsUnsigned evaluated once at
+  // build time instead of per execution). Zero for non-memory ops.
   std::uint8_t mem_bytes = 0;
   bool load_unsigned = false;
-  bool is_roload = false;  // ld.ro family: key-checked load datapath
   // Per-site inline caches: the D-TLB entry and D-cache line this op hit
   // last time. Self-validating — the executor re-proves them against the
   // current access before replaying the hit and falls back to the generic
@@ -226,10 +230,8 @@ struct TranslatorStats {
 // is only called between blocks — TLB flush, capacity).
 class Translator {
  public:
-  Translator(unsigned threshold, unsigned max_blocks)
-      : threshold_(threshold == 0 ? 1 : threshold),
-        max_blocks_(max_blocks == 0 ? 1 : max_blocks),
-        visits_(kVisitSlots) {}
+  explicit Translator(unsigned threshold)
+      : threshold_(threshold == 0 ? 1 : threshold), visits_(kVisitSlots) {}
 
   // Block lookup; nullptr on miss (including dead or mismatching blocks).
   TranslatedBlock* Lookup(std::uint64_t root_ppn, std::uint64_t pc);
@@ -252,7 +254,7 @@ class Translator {
   // between blocks (no block mid-execution, no live chain source).
   void InvalidateAll();
 
-  bool AtCapacity() const { return blocks_.size() >= max_blocks_; }
+  bool AtCapacity() const { return blocks_.size() >= kMaxLiveBlocks; }
 
   TranslatorStats& stats() { return stats_; }
   const TranslatorStats& stats() const { return stats_; }
@@ -282,7 +284,6 @@ class Translator {
   };
 
   unsigned threshold_;
-  std::size_t max_blocks_;
   std::deque<std::unique_ptr<TranslatedBlock>> blocks_;
   std::unordered_map<std::uint64_t, TranslatedBlock*> map_;
   std::vector<VisitSlot> visits_;

@@ -18,6 +18,35 @@ std::string ExitWith(const std::string& body) {
   return ".section .text\n_start:\n" + body + "\n  li a7, 93\n  ecall\n";
 }
 
+// Runs `body` twice in a loop, then exits with a0, on each execute tier;
+// the translated tier builds blocks on first visit. The first pass warms
+// the I-TLB and I-cache, so the translated tier executes every op of the
+// second pass inside a replayed block: the exit code checks the block
+// executor's result for each op, not only the interpreter's.
+void ExpectExitOnEveryTier(const std::string& body, std::int64_t expected) {
+  const std::string source = ".section .text\n_start:\n  li s0, 2\npass:\n" +
+                             body +
+                             "\n  addi s0, s0, -1\n  bnez s0, pass\n"
+                             "  li a7, 93\n  ecall\n";
+  for (const cpu::ExecTier tier :
+       {cpu::ExecTier::kInterp, cpu::ExecTier::kFast,
+        cpu::ExecTier::kTranslated}) {
+    SCOPED_TRACE(cpu::ExecTierName(tier));
+    core::SystemConfig config;
+    cpu::SetExecTier(&config.cpu, tier);
+    config.cpu.translate_threshold = 1;
+    const testing::GuestRun run = RunGuest(source, config);
+    ASSERT_EQ(run.result.kind, kernel::ExitKind::kExited);
+    EXPECT_EQ(run.result.exit_code, expected);
+    if (tier == cpu::ExecTier::kTranslated) {
+      // One pass is (instructions - 3) / 2 ops: `li s0`, `li a7` and the
+      // ecall run once.
+      EXPECT_GE(run.system->cpu().translator_stats().ops_replayed,
+                (run.result.instructions - 3) / 2);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ALU property sweep: each op computed by the guest and compared against a
 // host-side golden model. Result is reduced mod 64 via two probes (low and
@@ -92,7 +121,7 @@ TEST_P(AluGoldenTest, MatchesHostSemantics) {
         "  andi a0, a0, 63\n",
         static_cast<long long>(a), static_cast<long long>(b),
         test_case.mnemonic);
-    ExpectExit(ExitWith(body), probe);
+    ExpectExitOnEveryTier(body, probe);
   }
 }
 
@@ -104,29 +133,42 @@ INSTANTIATE_TEST_SUITE_P(AllOps, AluGoldenTest, ::testing::ValuesIn(kAluCases),
 // ---------------------------------------------------------------------------
 // Division edge cases (RISC-V defines them, no traps).
 TEST(CpuDivTest, DivideByZero) {
-  ExpectExit(ExitWith("  li t0, 42\n  li t1, 0\n  div t2, t0, t1\n"
-                      "  andi a0, t2, 63\n"),
-             63);  // -1 & 63
-  ExpectExit(ExitWith("  li t0, 42\n  li t1, 0\n  rem t2, t0, t1\n"
-                      "  andi a0, t2, 63\n"),
-             42);
-  ExpectExit(ExitWith("  li t0, 42\n  li t1, 0\n  divu t2, t0, t1\n"
-                      "  andi a0, t2, 63\n"),
-             63);
-  ExpectExit(ExitWith("  li t0, 42\n  li t1, 0\n  remu t2, t0, t1\n"
-                      "  andi a0, t2, 63\n"),
-             42);
+  ExpectExitOnEveryTier("  li t0, 42\n  li t1, 0\n  div t2, t0, t1\n"
+                        "  andi a0, t2, 63\n",
+                        63);  // -1 & 63
+  ExpectExitOnEveryTier("  li t0, 42\n  li t1, 0\n  rem t2, t0, t1\n"
+                        "  andi a0, t2, 63\n",
+                        42);
+  ExpectExitOnEveryTier("  li t0, 42\n  li t1, 0\n  divu t2, t0, t1\n"
+                        "  andi a0, t2, 63\n",
+                        63);
+  ExpectExitOnEveryTier("  li t0, 42\n  li t1, 0\n  remu t2, t0, t1\n"
+                        "  andi a0, t2, 63\n",
+                        42);
+  ExpectExitOnEveryTier("  li t0, 42\n  li t1, 0\n  divw t2, t0, t1\n"
+                        "  andi a0, t2, 63\n",
+                        63);
+  ExpectExitOnEveryTier("  li t0, 42\n  li t1, 0\n  remw t2, t0, t1\n"
+                        "  andi a0, t2, 63\n",
+                        42);
 }
 
 TEST(CpuDivTest, SignedOverflow) {
   // INT64_MIN / -1 = INT64_MIN; INT64_MIN % -1 = 0. Build INT64_MIN as
   // 1 << 63.
-  ExpectExit(ExitWith("  li t0, 1\n  slli t0, t0, 63\n  li t1, -1\n"
-                      "  div t2, t0, t1\n  srli a0, t2, 58\n"),
-             32);  // top bits of INT64_MIN
-  ExpectExit(ExitWith("  li t0, 1\n  slli t0, t0, 63\n  li t1, -1\n"
-                      "  rem t2, t0, t1\n  andi a0, t2, 63\n"),
-             0);
+  ExpectExitOnEveryTier("  li t0, 1\n  slli t0, t0, 63\n  li t1, -1\n"
+                        "  div t2, t0, t1\n  srli a0, t2, 58\n",
+                        32);  // top bits of INT64_MIN
+  ExpectExitOnEveryTier("  li t0, 1\n  slli t0, t0, 63\n  li t1, -1\n"
+                        "  rem t2, t0, t1\n  andi a0, t2, 63\n",
+                        0);
+  // The word forms: INT32_MIN / -1 = INT32_MIN, sign-extended to 64 bits.
+  ExpectExitOnEveryTier("  li t0, 1\n  slli t0, t0, 31\n  li t1, -1\n"
+                        "  divw t2, t0, t1\n  srli a0, t2, 58\n",
+                        63);
+  ExpectExitOnEveryTier("  li t0, 1\n  slli t0, t0, 31\n  li t1, -1\n"
+                        "  remw t2, t0, t1\n  andi a0, t2, 63\n",
+                        0);
 }
 
 // ---------------------------------------------------------------------------
